@@ -32,7 +32,6 @@ from .dynamics import (
     evolve,
     first_order_terms,
     perturbative_v,
-    propagator,
     shape_functions,
 )
 from .separability import (

@@ -24,12 +24,7 @@ import numpy as np
 from jsonschema import ValidationError, validate
 
 from .dynamics import evolve, shape_functions
-from .fock import (
-    FockSpace,
-    fock_generator_from_effective,
-    lindblad_integrate,
-    protocol_kraus_step,
-)
+from .fock import fock_generator_from_model, lindblad_integrate, protocol_kraus_step
 from .generators import build_generator, model_from_dict
 from .locc import (
     InfeasibleProtocolError,
@@ -208,8 +203,7 @@ def _verdict_line(verdict) -> str:
 def cmd_threshold(args) -> int:
     data = load_config(args.config, _RUN_SCHEMA)
     model = _model_from_config(data)
-    tol = MARGIN_TOL if args.tol is None else args.tol
-    verdicts = [threshold(model, tol=tol)]
+    verdicts = [threshold(model, tol=args.tol)]
     horizon = data.get("stringent_horizon")
     if horizon is not None:
         if not model.is_rank1:
@@ -218,13 +212,13 @@ def cmd_threshold(args) -> int:
         n = model.noise
         verdicts.append(
             stringent_ns_check(
-                shapes, n.s_a, n.s_b, model.coupling.strength, n.s_ab, tol=tol
+                shapes, n.s_a, n.s_b, model.coupling.strength, n.s_ab, tol=args.tol
             )
         )
     memory = data.get("memory")
     if memory is not None:
         coeffs = ohmic_d_coefficients(model, float(memory["c2"]))
-        verdicts.append(damped_bound(model, coeffs, tol=tol))
+        verdicts.append(damped_bound(model, coeffs, tol=args.tol))
     for verdict in verdicts:
         print(_verdict_line(verdict))
     return EXIT_OK if all(v.satisfied for v in verdicts) else EXIT_VIOLATED
@@ -309,8 +303,7 @@ def cmd_locc_verify(args) -> int:
         if model.is_rank1:
             protocol = build_rank1_protocol(model, branch=data.get("branch", "plus"))
         else:
-            tol = args.tol if args.tol is not None else 1e-10
-            protocol = synthesize_general(model, tol=tol)
+            protocol = synthesize_general(model, tol=args.tol)
     except InfeasibleProtocolError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
@@ -328,21 +321,17 @@ def cmd_locc_verify(args) -> int:
     else:
         print(f"trotter_order: {format_value(np.log2(e1 / e2))}")
     if args.oracle:
-        _oracle_report(data, model, target, protocol, args.dt)
+        _oracle_report(data, model, protocol, args.dt)
     return EXIT_OK
 
 
-def _oracle_report(data, model, target, protocol, dt: float) -> None:
-    if (model.layout.n_a, model.layout.n_b) != (1, 1):
-        raise ConfigError("the dense oracle covers one mode per side only")
-    cutoff = int(data.get("oracle_cutoff", 12))
-    space = FockSpace(cutoff, modes=2)
-    fgen = fock_generator_from_effective(target, cutoff)
-    rho0 = space.vacuum()
+def _oracle_report(data, model, protocol, dt: float) -> None:
+    fgen = fock_generator_from_model(model, int(data.get("oracle_cutoff", 12)))
+    rho0 = fgen.space.vacuum()
     semigroup = lindblad_integrate(fgen, rho0, dt)
-    stepped, defect = protocol_kraus_step(space, rho0, protocol, dt)
+    stepped, defect = protocol_kraus_step(fgen.space, rho0, protocol, dt)
     residual = float(np.abs(stepped - semigroup).max())
-    print(f"oracle_cutoff: {cutoff}")
+    print(f"oracle_cutoff: {fgen.space.cutoff}")
     print(f"oracle_channel_residual: {format_value(residual)}")
     print(f"oracle_trace_defect: {format_value(defect)}")
 
@@ -547,7 +536,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_thresh = sub.add_parser("threshold", help="closed-form separability bounds")
     p_thresh.add_argument("--config", required=True)
-    p_thresh.add_argument("--tol", type=float, default=None)
+    p_thresh.add_argument("--tol", type=float, default=MARGIN_TOL)
     p_thresh.set_defaults(func=cmd_threshold)
 
     p_evolve = sub.add_parser("evolve", help="covariance time series as CSV")
@@ -562,7 +551,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_locc.add_argument("--t", type=float, default=0.1)
     p_locc.add_argument("--dt", type=float, default=1e-3)
     p_locc.add_argument("--oracle", action="store_true")
-    p_locc.add_argument("--tol", type=float, default=None)
+    p_locc.add_argument("--tol", type=float, default=MARGIN_TOL)
     p_locc.set_defaults(func=cmd_locc_verify)
 
     p_sweep = sub.add_parser("sweep", help="cartesian parameter sweep as CSV")
@@ -590,9 +579,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
     except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

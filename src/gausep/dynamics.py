@@ -26,17 +26,12 @@ import numpy as np
 from scipy.integrate import simpson
 from scipy.linalg import expm
 
-from .generators import (
-    GkslGenerator,
-    Rank1Coupling,
-    ScalarWhiteNoise,
-    SystemModel,
-    local_drift_blocks,
-)
+from .generators import GkslGenerator, SystemModel, local_drift_blocks
 from .symplectic import (
     CovarianceMatrix,
     ModeLayout,
     _williamson_matrix,
+    direct_sum,
     mode_form,
 )
 
@@ -62,14 +57,6 @@ class ParallelConditionError(ValueError):
         )
 
 
-@dataclass(frozen=True, eq=False)
-class PropagatorSolution:
-    """Transition matrix and accumulated noise over one interval."""
-
-    phi: np.ndarray
-    accumulated_noise: np.ndarray
-
-
 def transition_blocks(drift: np.ndarray, diffusion: np.ndarray, t: float):
     """Exact ``(Phi, G)`` for constant drift and diffusion via one expm."""
     n = drift.shape[0]
@@ -92,14 +79,6 @@ def cross_integral(a: np.ndarray, q: np.ndarray, b: np.ndarray, t: float) -> np.
     aug[n:, n:] = -b
     f12 = expm(aug * t)[:n, n:]
     return f12 @ expm(b * t)
-
-
-def propagator(gen: GkslGenerator, t: float) -> PropagatorSolution:
-    """Exact propagator data of the generator over ``[0, t]``."""
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    phi, acc = transition_blocks(gen.drift, gen.diffusion, t)
-    return PropagatorSolution(phi=phi, accumulated_noise=acc)
 
 
 def evolve(
@@ -173,17 +152,28 @@ class PerturbativeFrame:
     rotation: np.ndarray
     layout: ModeLayout
 
+    @classmethod
+    def from_terms(cls, terms: FirstOrderTerms) -> "PerturbativeFrame":
+        """Assemble ``I/2 + V_g + V_th`` and the block-diagonal frame matrices."""
+        m = 0.5 * np.eye(terms.layout.dim) + terms.v_g + terms.v_th
+        return cls(
+            v_rotated=CovarianceMatrix(m, terms.layout),
+            williamson_s=direct_sum(terms.s_a, terms.s_b),
+            rotation=direct_sum(terms.rotation_a, terms.rotation_b),
+            layout=terms.layout,
+        )
+
+    def lab_map(self) -> np.ndarray:
+        """Block-diagonal congruence ``S^-1 exp(M' t)`` from this frame to the lab."""
+        return np.linalg.solve(self.williamson_s, self.rotation)
+
     def to_lab(self) -> CovarianceMatrix:
-        s_inv = np.linalg.inv(self.williamson_s)
-        m = self.rotation @ self.v_rotated.matrix @ self.rotation.T
-        return CovarianceMatrix(s_inv @ m @ s_inv.T, self.layout)
+        lab = self.lab_map()
+        return CovarianceMatrix(lab @ self.v_rotated.matrix @ lab.T, self.layout)
 
 
 def _require_rank1(model: SystemModel, what: str) -> None:
-    if not (
-        isinstance(model.coupling, Rank1Coupling)
-        and isinstance(model.noise, ScalarWhiteNoise)
-    ):
+    if not model.is_rank1:
         raise ValueError(f"{what} requires the rank-1 scalar-noise model variant")
 
 
@@ -208,7 +198,7 @@ def check_perturbative_window(model: SystemModel, t: float) -> None:
 
 def _pure_block_williamson(block: np.ndarray, n_modes: int, side: str):
     omega = mode_form(n_modes)
-    s, nu, _ = _williamson_matrix(block, omega)
+    s, nu = _williamson_matrix(block, omega)
     if np.abs(2 * nu - 1).max() > _PURE_TOL:
         raise ValueError(
             f"initial covariance on side {side} is not pure "
@@ -253,8 +243,8 @@ def first_order_terms(
     only error in the returned terms is roundoff.
     """
     check_perturbative_window(model, t)
-    if t <= 0:
-        raise ValueError("t must be positive")
+    if not 0.0 < t < np.inf:
+        raise ValueError("t must be positive and finite")
     lo = model.layout
     s_a, s_b, w_a, w_b, mprime_a, mprime_b = _rotated_frame(model, v0)
 
@@ -272,9 +262,7 @@ def first_order_terms(
     v_g[: lo.dim_a, lo.dim_a :] = block_g
     v_g[lo.dim_a :, : lo.dim_a] = block_g.T
 
-    v_th = np.zeros((lo.dim, lo.dim))
-    v_th[: lo.dim_a, : lo.dim_a] = n.s_a * (eta_a @ p_a @ eta_a.T)
-    v_th[lo.dim_a :, lo.dim_a :] = n.s_b * (eta_b @ p_b @ eta_b.T)
+    v_th = direct_sum(n.s_a * (eta_a @ p_a @ eta_a.T), n.s_b * (eta_b @ p_b @ eta_b.T))
     if n.s_ab != 0.0:
         cross = n.s_ab * (eta_a @ w_ab @ eta_b.T)
         v_th[: lo.dim_a, lo.dim_a :] += cross
@@ -299,13 +287,6 @@ def first_order_terms(
     )
 
 
-def _blockdiag(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    out = np.zeros((a.shape[0] + b.shape[0], a.shape[1] + b.shape[1]))
-    out[: a.shape[0], : a.shape[1]] = a
-    out[a.shape[0] :, a.shape[1] :] = b
-    return out
-
-
 def perturbative_v(
     model: SystemModel, t: float, v0: CovarianceMatrix | None = None
 ) -> PerturbativeFrame:
@@ -317,14 +298,7 @@ def perturbative_v(
     result so callers can map back; errors relative to :func:`evolve` scale
     with the square of the strength-time products.
     """
-    terms = first_order_terms(model, t, v0)
-    m = 0.5 * np.eye(model.layout.dim) + terms.v_g + terms.v_th
-    return PerturbativeFrame(
-        v_rotated=CovarianceMatrix(m, model.layout),
-        williamson_s=_blockdiag(terms.s_a, terms.s_b),
-        rotation=_blockdiag(terms.rotation_a, terms.rotation_b),
-        layout=model.layout,
-    )
+    return PerturbativeFrame.from_terms(first_order_terms(model, t, v0))
 
 
 # -- restricted-dynamics shape functions --------------------------------------
@@ -390,8 +364,8 @@ def shape_functions(
     component), reporting the maximum deviation angle.  The shapes depend only
     on the free local rotations, so no perturbative window applies here.
     """
-    if t <= 0:
-        raise ValueError("t must be positive")
+    if not 0.0 < t < np.inf:
+        raise ValueError("t must be positive and finite")
     _, _, w_a, w_b, mprime_a, mprime_b = _rotated_frame(model, v0)
     if samples < 3:
         raise ValueError("samples must be >= 3")

@@ -29,7 +29,7 @@ import numpy as np
 from numpy.polynomial.hermite import hermgauss
 from scipy.linalg import expm
 
-from .generators import GkslGenerator, SystemModel, hamiltonian_form, noise_form
+from .generators import SystemModel, hamiltonian_form, noise_form
 from .locc import LoccProtocol, Rank1Channel
 from .symplectic import CovarianceMatrix, ModeLayout
 
@@ -150,13 +150,6 @@ def fock_generator_from_model(model: SystemModel, cutoff: int) -> FockGenerator:
         raise ValueError("the dense oracle supports one mode per side")
     space = FockSpace(cutoff, modes=2)
     return build_fock_generator(space, hamiltonian_form(model), noise_form(model))
-
-
-def fock_generator_from_effective(gen: GkslGenerator, cutoff: int) -> FockGenerator:
-    if gen.layout != ModeLayout(1, 1):
-        raise ValueError("the dense oracle supports one mode per side")
-    space = FockSpace(cutoff, modes=2)
-    return build_fock_generator(space, gen.hamiltonian, gen.noise_quadratic)
 
 
 def lindblad_rhs(gen: FockGenerator, rho: np.ndarray) -> np.ndarray:

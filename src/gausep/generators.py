@@ -32,24 +32,25 @@ from pathlib import Path
 
 import numpy as np
 
-from .symplectic import CovarianceMatrix, ModeLayout, build_form
+from .symplectic import CovarianceMatrix, ModeLayout, build_form, direct_sum, mode_form
 
-_SYM_TOL = 1e-10
+# symmetry and positivity of the forms are judged relative to each form's
+# largest entry, so a laboratory-scale form is held to the same standard
+_FORM_TOL = 1e-10
 
 
-def _as_vector(vec, dim: int, name: str) -> np.ndarray:
-    v = np.asarray(vec, dtype=float)
-    if v.shape != (dim,):
-        raise ValueError(f"{name} must have shape ({dim},), got {v.shape}")
-    return v
+def _as_finite(x, shape: tuple, name: str) -> np.ndarray:
+    a = np.asarray(x, dtype=float)
+    if a.shape != shape:
+        raise ValueError(f"{name} must have shape {shape}, got {a.shape}")
+    if not np.isfinite(a).all():
+        raise ValueError(f"{name} must be finite")
+    return a
 
 
 def _as_symmetric(m, dim: int, name: str) -> np.ndarray:
-    m = np.asarray(m, dtype=float)
-    if m.shape != (dim, dim):
-        raise ValueError(f"{name} must have shape ({dim}, {dim}), got {m.shape}")
-    scale = max(1.0, np.abs(m).max())
-    if np.abs(m - m.T).max() > _SYM_TOL * scale:
+    m = _as_finite(m, (dim, dim), name)
+    if np.abs(m - m.T).max() > _FORM_TOL * np.abs(m).max():
         raise ValueError(f"{name} must be symmetric")
     return 0.5 * (m + m.T)
 
@@ -111,24 +112,21 @@ class SystemModel:
                 self,
                 "coupling",
                 Rank1Coupling(
-                    strength=float(c.strength),
-                    vec_a=_as_vector(c.vec_a, lo.dim_a, "coupling vec_a"),
-                    vec_b=_as_vector(c.vec_b, lo.dim_b, "coupling vec_b"),
+                    strength=float(_as_finite(c.strength, (), "coupling strength")),
+                    vec_a=_as_finite(c.vec_a, (lo.dim_a,), "coupling vec_a"),
+                    vec_b=_as_finite(c.vec_b, (lo.dim_b,), "coupling vec_b"),
                 ),
             )
             if not isinstance(self.noise, ScalarWhiteNoise):
                 raise ValueError("rank-1 coupling requires scalar white noise")
             n = self.noise
+            _as_finite((n.s_a, n.s_b, n.s_ab), (3,), "noise spectra")
             if n.s_a < 0 or n.s_b < 0:
                 raise ValueError("noise spectra must be nonnegative")
             if n.s_ab**2 > n.s_a * n.s_b * (1 + 1e-12):
                 raise ValueError("correlated spectrum violates s_ab^2 <= s_a s_b")
         elif isinstance(self.coupling, GeneralCoupling):
-            m = np.asarray(self.coupling.matrix, dtype=float)
-            if m.shape != (lo.dim_a, lo.dim_b):
-                raise ValueError(
-                    f"coupling matrix must have shape ({lo.dim_a}, {lo.dim_b})"
-                )
+            m = _as_finite(self.coupling.matrix, (lo.dim_a, lo.dim_b), "coupling matrix")
             object.__setattr__(self, "coupling", GeneralCoupling(matrix=m))
             if not isinstance(self.noise, MatrixWhiteNoise):
                 raise ValueError("general coupling requires matrix white noise")
@@ -136,7 +134,7 @@ class SystemModel:
             q_b = _as_symmetric(self.noise.q_b, lo.dim_b, "q_b")
             for name, q in (("q_a", q_a), ("q_b", q_b)):
                 w = np.linalg.eigvalsh(q)
-                if w.size and w[0] < -1e-10 * max(1.0, np.abs(q).max()):
+                if w.size and w[0] < -_FORM_TOL * np.abs(q).max():
                     raise ValueError(f"{name} must be positive semidefinite")
             object.__setattr__(self, "noise", MatrixWhiteNoise(q_a=q_a, q_b=q_b))
         else:
@@ -174,35 +172,24 @@ def coupling_form(model: SystemModel) -> np.ndarray:
 
 def hamiltonian_form(model: SystemModel) -> np.ndarray:
     """Full symmetric quadratic form of the Hamiltonian, ``H = xi^T G xi / 2``."""
-    lo = model.layout
-    g = coupling_form(model)
-    g[: lo.dim_a, : lo.dim_a] += model.h_a
-    g[lo.dim_a :, lo.dim_a :] += model.h_b
-    return g
+    return coupling_form(model) + direct_sum(model.h_a, model.h_b)
 
 
 def noise_form(model: SystemModel) -> np.ndarray:
     """Full symmetric noise form ``Q`` of the dissipative part."""
-    lo = model.layout
-    q = np.zeros((lo.dim, lo.dim))
-    if isinstance(model.noise, ScalarWhiteNoise):
-        c, n = model.coupling, model.noise
-        a, b = slice(0, lo.dim_a), slice(lo.dim_a, lo.dim)
-        q[a, a] = n.s_a * np.outer(c.vec_a, c.vec_a)
-        q[b, b] = n.s_b * np.outer(c.vec_b, c.vec_b)
-        if n.s_ab != 0.0:
-            cross = n.s_ab * np.outer(c.vec_a, c.vec_b)
-            q[a, b] = cross
-            q[b, a] = cross.T
-    else:
-        q[: lo.dim_a, : lo.dim_a] = model.noise.q_a
-        q[lo.dim_a :, lo.dim_a :] = model.noise.q_b
+    if isinstance(model.noise, MatrixWhiteNoise):
+        return direct_sum(model.noise.q_a, model.noise.q_b)
+    c, n = model.coupling, model.noise
+    q = direct_sum(n.s_a * np.outer(c.vec_a, c.vec_a), n.s_b * np.outer(c.vec_b, c.vec_b))
+    if n.s_ab != 0.0:
+        d = model.layout.dim_a
+        q[:d, d:] = n.s_ab * np.outer(c.vec_a, c.vec_b)
+        q[d:, :d] = q[:d, d:].T
     return q
 
 
-def _generator_from_forms(
-    layout: ModeLayout, g: np.ndarray, q: np.ndarray
-) -> GkslGenerator:
+def generator_from_forms(layout: ModeLayout, g: np.ndarray, q: np.ndarray) -> GkslGenerator:
+    """Generator of the Hamiltonian form ``G`` and the noise form ``Q``."""
     omega = build_form(layout)
     return GkslGenerator(
         layout=layout,
@@ -213,25 +200,9 @@ def _generator_from_forms(
     )
 
 
-def build_rank1_generator(model: SystemModel) -> GkslGenerator:
-    """Generator of the rank-1 master equation (coupled quadratures only)."""
-    if not model.is_rank1:
-        raise ValueError("model does not carry a rank-1 coupling")
-    return _generator_from_forms(model.layout, hamiltonian_form(model), noise_form(model))
-
-
-def build_general_generator(model: SystemModel) -> GkslGenerator:
-    """Generator of the general quadratic master equation."""
-    if model.is_rank1:
-        raise ValueError("model does not carry a general coupling")
-    return _generator_from_forms(model.layout, hamiltonian_form(model), noise_form(model))
-
-
 def build_generator(model: SystemModel) -> GkslGenerator:
-    """Dispatch on the model variant."""
-    if model.is_rank1:
-        return build_rank1_generator(model)
-    return build_general_generator(model)
+    """Generator of the model's master equation, either variant."""
+    return generator_from_forms(model.layout, hamiltonian_form(model), noise_form(model))
 
 
 def moment_equations(gen: GkslGenerator, v: CovarianceMatrix) -> np.ndarray:
@@ -243,10 +214,7 @@ def moment_equations(gen: GkslGenerator, v: CovarianceMatrix) -> np.ndarray:
 def local_drift_blocks(model: SystemModel) -> tuple[np.ndarray, np.ndarray]:
     """Coupling-free drift blocks of the two sides (``eta h`` per side)."""
     lo = model.layout
-    omega = build_form(lo)
-    eta_a = omega[: lo.dim_a, : lo.dim_a]
-    eta_b = omega[lo.dim_a :, lo.dim_a :]
-    return eta_a @ model.h_a, eta_b @ model.h_b
+    return mode_form(lo.n_a) @ model.h_a, mode_form(lo.n_b) @ model.h_b
 
 
 # -- JSON serialization -------------------------------------------------------

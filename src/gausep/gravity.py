@@ -20,9 +20,7 @@ never depend on the nondimensionalization point.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
-from pathlib import Path
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -32,6 +30,14 @@ from .symplectic import ModeLayout
 GRAVITATIONAL_CONSTANT = 6.67430e-11
 REDUCED_PLANCK = 1.054571817e-34
 BOLTZMANN = 1.380649e-23
+
+
+def _require_positive(scenario) -> None:
+    """Every field that is set must be a positive finite number."""
+    for f in fields(scenario):
+        value = getattr(scenario, f.name)
+        if value is not None and not 0.0 < value < np.inf:
+            raise ValueError(f"{f.name} must be positive and finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -46,16 +52,7 @@ class TwoMassScenario:
     temperature_K: float
 
     def __post_init__(self):
-        for name in (
-            "mass_a_kg",
-            "mass_b_kg",
-            "separation_m",
-            "gamma_a_per_s",
-            "gamma_b_per_s",
-            "temperature_K",
-        ):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+        _require_positive(self)
 
 
 @dataclass(frozen=True)
@@ -77,16 +74,7 @@ class MediatorScenario:
     separation_ab_m: float | None = None
 
     def __post_init__(self):
-        for name in (
-            "mass_probe_kg",
-            "mass_mediator_kg",
-            "separation_m",
-            "gamma_probe_per_s",
-            "gamma_mediator_per_s",
-            "temperature_K",
-        ):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+        _require_positive(self)
         if (self.mass_b_kg is None) != (self.separation_ab_m is None):
             raise ValueError(
                 "mass_b_kg and separation_ab_m must be provided together"
@@ -105,16 +93,7 @@ class SphereMediatorScenario:
     temperature_K: float
 
     def __post_init__(self):
-        for name in (
-            "mass_probe_kg",
-            "mass_mediator_kg",
-            "density_mediator_kg_m3",
-            "gamma_probe_per_s",
-            "gamma_mediator_per_s",
-            "temperature_K",
-        ):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+        _require_positive(self)
 
     @property
     def separation_m(self) -> float:
@@ -210,6 +189,15 @@ def _ab_inflation(scenario: MediatorScenario) -> float:
     return float(np.sqrt(1.0 + ratio**2))
 
 
+def _unsphere(scenario, include_ab_coupling: bool):
+    """The plain mediator form of a sphere scenario; other scenarios pass through."""
+    if not isinstance(scenario, SphereMediatorScenario):
+        return scenario
+    if include_ab_coupling:
+        raise ValueError("sphere scenarios carry no direct A-B fields")
+    return scenario.as_mediator()
+
+
 def mediator_threshold(
     scenario: MediatorScenario | SphereMediatorScenario,
     include_ab_coupling: bool = False,
@@ -221,10 +209,7 @@ def mediator_threshold(
     ``sqrt(gamma_p gamma_m) k_B T``.  Including the direct A-B coupling
     inflates the gravity rate by the folded channel norm.
     """
-    if isinstance(scenario, SphereMediatorScenario):
-        if include_ab_coupling:
-            raise ValueError("sphere scenarios carry no direct A-B fields")
-        scenario = scenario.as_mediator()
+    scenario = _unsphere(scenario, include_ab_coupling)
     inflation = _ab_inflation(scenario) if include_ab_coupling else 1.0
     return _rates(
         scenario.mass_probe_kg,
@@ -250,12 +235,9 @@ def to_model(
     drive becomes ``2 gamma k_B T / (hbar omega^2)`` with the mass cancelling.
     The sign of every separability margin is frequency independent.
     """
-    if omega_per_s <= 0:
-        raise ValueError("omega_per_s must be positive")
-    if isinstance(scenario, SphereMediatorScenario):
-        if include_ab_coupling:
-            raise ValueError("sphere scenarios carry no direct A-B fields")
-        scenario = scenario.as_mediator()
+    if not 0.0 < omega_per_s < np.inf:
+        raise ValueError("omega_per_s must be positive and finite")
+    scenario = _unsphere(scenario, include_ab_coupling)
     if isinstance(scenario, TwoMassScenario):
         mass_a, mass_b = scenario.mass_a_kg, scenario.mass_b_kg
         gamma_a, gamma_b = scenario.gamma_a_per_s, scenario.gamma_b_per_s
@@ -276,24 +258,16 @@ def to_model(
 
     if include_ab_coupling:
         alpha = np.sqrt(_ab_inflation(scenario) ** 2 - 1.0)
-        layout = ModeLayout(1, 2)
         vec_b = np.array([1.0, 0.0, alpha, 0.0])
-        model = SystemModel(
-            layout,
-            np.eye(2),
-            np.eye(4),
-            Rank1Coupling(k_model, np.array([1.0, 0.0]), vec_b),
-            ScalarWhiteNoise(s_a, s_b),
-        )
     else:
-        layout = ModeLayout(1, 1)
-        model = SystemModel(
-            layout,
-            np.eye(2),
-            np.eye(2),
-            Rank1Coupling(k_model, np.array([1.0, 0.0]), np.array([1.0, 0.0])),
-            ScalarWhiteNoise(s_a, s_b),
-        )
+        vec_b = np.array([1.0, 0.0])
+    model = SystemModel(
+        ModeLayout(1, vec_b.size // 2),
+        np.eye(2),
+        np.eye(vec_b.size),
+        Rank1Coupling(k_model, np.array([1.0, 0.0]), vec_b),
+        ScalarWhiteNoise(s_a, s_b),
+    )
     record = UnitRecord(
         omega_per_s=float(omega_per_s),
         time_unit_s=1.0 / omega_per_s,
@@ -331,11 +305,3 @@ def scenario_from_dict(d: dict) -> object:
         raise ValueError(f"unknown scenario kind {kind!r}")
     args = {k: v for k, v in d.items() if k != "kind"}
     return _SCENARIO_KINDS[kind](**args)
-
-
-def save_scenario(scenario, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(scenario_to_dict(scenario), indent=2) + "\n")
-
-
-def load_scenario(path: str | Path):
-    return scenario_from_dict(json.loads(Path(path).read_text()))

@@ -20,26 +20,28 @@ Averaged over records, a channel contributes
 
 Balancing these budgets against a target model is possible exactly when the
 model noise dominates its coupling, which is how the solvers here double as
-constructive converses of the separability thresholds: `solve_rank1` covers
-the scalar-noise variants and :func:`synthesize_general` reduces the matrix
+constructive converses of the separability thresholds: :func:`solve_correlated`
+covers the scalar-noise variants and :func:`synthesize_general` reduces the matrix
 variant to whitened singular channels.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 from scipy.linalg import expm
 
-from .generators import GkslGenerator, SystemModel, local_drift_blocks
-from .separability import BoundKind, ThresholdVerdict
-from .symplectic import CovarianceMatrix, ModeLayout, build_form
+from .generators import (
+    GkslGenerator,
+    SystemModel,
+    generator_from_forms,
+    local_drift_blocks,
+)
+from .separability import MARGIN_TOL, BoundKind, ThresholdVerdict, bound_verdict
+from .symplectic import CovarianceMatrix, ModeLayout, build_form, direct_sum, mode_form
 
 RANK_CUTOFF = 1e-12
-FEASIBILITY_TOL = 1e-10
 
 
 class InfeasibleProtocolError(ValueError):
@@ -233,19 +235,11 @@ def effective_generator(protocol: LoccProtocol) -> GkslGenerator:
         a += a_ch
         q += q_ch
     g = -omega @ a
-    scale = max(1.0, np.abs(g).max())
-    if np.abs(g - g.T).max() > 1e-10 * scale:
+    if np.abs(g - g.T).max() > MARGIN_TOL * np.abs(g).max():
         raise ValueError(
             "averaged channel drift is not Hamiltonian; feed-forward is unbalanced"
         )
-    g = 0.5 * (g + g.T)
-    return GkslGenerator(
-        layout=lo,
-        drift=omega @ g,
-        diffusion=omega @ q @ omega.T,
-        hamiltonian=g,
-        noise_quadratic=q,
-    )
+    return generator_from_forms(lo, 0.5 * (g + g.T), q)
 
 
 def build_rank1_protocol(model: SystemModel, branch: str = "plus") -> LoccProtocol:
@@ -277,9 +271,7 @@ def build_rank1_protocol(model: SystemModel, branch: str = "plus") -> LoccProtoc
         feed_vec=c.vec_a,
         kappa=sol.kappa_b,
     )
-    h_loc = np.zeros((lo.dim, lo.dim))
-    h_loc[: lo.dim_a, : lo.dim_a] = model.h_a
-    h_loc[lo.dim_a :, lo.dim_a :] = model.h_b
+    h_loc = direct_sum(model.h_a, model.h_b)
     u_a = _embed(c.vec_a, "A", lo)
     u_b = _embed(c.vec_b, "B", lo)
     h_loc -= sol.kappa_a * np.outer(u_a, u_a)
@@ -298,7 +290,7 @@ def _pinv_sqrt(q: np.ndarray, cutoff: float):
 
 
 def synthesize_general(
-    model: SystemModel, tol: float = FEASIBILITY_TOL
+    model: SystemModel, tol: float = MARGIN_TOL
 ) -> LoccProtocol:
     """Whitened singular-channel synthesis for the matrix-noise variant.
 
@@ -310,7 +302,6 @@ def synthesize_general(
     """
     if model.is_rank1:
         raise ValueError("general synthesis requires the matrix-noise variant")
-    lo = model.layout
     c = model.coupling.matrix
     w_a, e_a, root_a, proj_a = _pinv_sqrt(model.noise.q_a, RANK_CUTOFF)
     w_b, e_b, root_b, proj_b = _pinv_sqrt(model.noise.q_b, RANK_CUTOFF)
@@ -361,11 +352,10 @@ def synthesize_general(
     for i in range(paired, w_b.shape[1]):
         channels.append(Rank1Channel(side="B", gamma=1.0, vec=w_b @ vt[i, :]))
 
-    h_loc = np.zeros((lo.dim, lo.dim))
-    h_loc[: lo.dim_a, : lo.dim_a] = model.h_a
-    h_loc[lo.dim_a :, lo.dim_a :] = model.h_b
     return LoccProtocol(
-        layout=lo, channels=tuple(channels), local_hamiltonian=h_loc
+        layout=model.layout,
+        channels=tuple(channels),
+        local_hamiltonian=direct_sum(model.h_a, model.h_b),
     )
 
 
@@ -445,11 +435,13 @@ def ohmic_d_coefficients(model: SystemModel, c2: float) -> MemoryCoefficients:
     """
     if not model.is_rank1:
         raise ValueError("memory coefficients require the rank-1 model variant")
+    if not np.isfinite(c2):
+        raise ValueError("memory coefficient c2 must be finite")
     lo = model.layout
     c = model.coupling
     drift_a, drift_b = local_drift_blocks(model)
-    eta_a = build_form(ModeLayout(lo.n_a, 0))
-    eta_b = build_form(ModeLayout(lo.n_b, 0))
+    eta_a = mode_form(lo.n_a)
+    eta_b = mode_form(lo.n_b)
     k = c.strength
     blocks = {
         ("A", "A"): (c.vec_a, drift_a, c.vec_a),
@@ -477,7 +469,7 @@ def ohmic_d_coefficients(model: SystemModel, c2: float) -> MemoryCoefficients:
     )
 
 
-def damped_bound(model: SystemModel, coeffs: MemoryCoefficients, tol: float = 1e-10):
+def damped_bound(model: SystemModel, coeffs: MemoryCoefficients, tol: float = MARGIN_TOL):
     """Memory-corrected separability bound for the rank-1 variant.
 
     Each local noise budget is damped by its own-side coefficient and the
@@ -499,11 +491,11 @@ def damped_bound(model: SystemModel, coeffs: MemoryCoefficients, tol: float = 1e
             reason="memory correction exhausts a local noise budget",
         )
     inflated = k + abs(coeffs.d_ab) + abs(coeffs.d_ba)
-    margin = eff_a * eff_b - inflated**2
-    return ThresholdVerdict(
-        satisfied=bool(margin >= -tol),
-        margin=float(margin),
-        bound_kind=BoundKind.DAMPED,
+    return bound_verdict(
+        eff_a * eff_b - inflated**2,
+        max(eff_a * eff_b, inflated**2),
+        BoundKind.DAMPED,
+        tol,
     )
 
 
@@ -548,11 +540,3 @@ def protocol_from_dict(d: dict) -> LoccProtocol:
         channels=channels,
         local_hamiltonian=np.asarray(d["local_hamiltonian"], dtype=float),
     )
-
-
-def save_protocol(protocol: LoccProtocol, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(protocol_to_dict(protocol), indent=2) + "\n")
-
-
-def load_protocol(path: str | Path) -> LoccProtocol:
-    return protocol_from_dict(json.loads(Path(path).read_text()))

@@ -31,20 +31,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import ShapeFunctions, first_order_terms
-from .generators import (
-    GeneralCoupling,
-    MatrixWhiteNoise,
-    Rank1Coupling,
-    ScalarWhiteNoise,
-    SystemModel,
-)
+from .dynamics import PerturbativeFrame, ShapeFunctions, first_order_terms
+from .generators import Rank1Coupling, SystemModel, coupling_form, noise_form
 from .symplectic import (
     CovarianceMatrix,
     ModeLayout,
-    build_form,
+    direct_sum,
     mode_form,
     partial_transpose,
+    physicality_margin,
     symplectic_spectrum,
 )
 
@@ -143,53 +138,41 @@ def log_negativity(v: CovarianceMatrix) -> float:
     return float(np.sum(terms[terms > 0.0])) if terms.size else 0.0
 
 
+def bound_verdict(
+    margin: float, scale: float, kind: BoundKind, tol: float = MARGIN_TOL, **extra
+) -> ThresholdVerdict:
+    """Verdict of a bound ``lhs >= rhs`` whose ``margin`` is ``lhs - rhs``.
+
+    ``scale`` is the size of the two sides, so ``tol`` is relative to the
+    bound itself and the verdict does not change when every rate is scaled
+    by a common factor; with no absolute floor, laboratory-sized models
+    (margins far below one) are judged by sign.
+    """
+    return ThresholdVerdict(
+        satisfied=bool(margin >= -tol * scale),
+        margin=float(margin),
+        bound_kind=kind,
+        **extra,
+    )
+
+
 def threshold(model: SystemModel, tol: float = MARGIN_TOL) -> ThresholdVerdict:
     """Closed-form no-entanglement bound for a model variant.
 
     Rank-1 scalar noise: ``s_a s_b >= k^2`` (plus ``s_ab^2`` when the baths
     are correlated).  General matrix noise: positivity of the block matrix
-    pairing the noise forms with the coupling form; the margin is its minimum
-    eigenvalue.
+    ``Q + Q_g`` pairing the noise forms with the coupling form; the margin is
+    its minimum eigenvalue.
     """
     if isinstance(model.coupling, Rank1Coupling):
         n = model.noise
         k = model.coupling.strength
-        if n.s_ab == 0.0:
-            margin = n.s_a * n.s_b - k**2
-            kind = BoundKind.RANK1
-        else:
-            margin = n.s_a * n.s_b - k**2 - n.s_ab**2
-            kind = BoundKind.RANK1_CORRELATED
-        # tolerance relative to the bound's own scale, so laboratory-sized
-        # dimensionless models (margins far below 1) are judged by sign
-        scale = max(n.s_a * n.s_b, k**2, n.s_ab**2)
-        return ThresholdVerdict(
-            satisfied=bool(margin >= -tol * scale),
-            margin=float(margin),
-            bound_kind=kind,
-        )
-    block = coupling_noise_block(model)
-    margin = float(np.linalg.eigvalsh(block)[0])
-    return ThresholdVerdict(
-        satisfied=bool(margin >= -tol * max(1.0, np.abs(block).max())),
-        margin=margin,
-        bound_kind=BoundKind.GENERAL_MATRIX,
-    )
-
-
-def coupling_noise_block(model: SystemModel) -> np.ndarray:
-    """Block matrix ``[[Q_a, Q_g], [Q_g^T, Q_b]]`` of the general bound."""
-    if not isinstance(model.coupling, GeneralCoupling) or not isinstance(
-        model.noise, MatrixWhiteNoise
-    ):
-        raise ValueError("general bound requires the matrix-noise model variant")
-    lo = model.layout
-    out = np.zeros((lo.dim, lo.dim))
-    out[: lo.dim_a, : lo.dim_a] = model.noise.q_a
-    out[lo.dim_a :, lo.dim_a :] = model.noise.q_b
-    out[: lo.dim_a, lo.dim_a :] = model.coupling.matrix
-    out[lo.dim_a :, : lo.dim_a] = model.coupling.matrix.T
-    return out
+        margin = n.s_a * n.s_b - k**2 - n.s_ab**2
+        kind = BoundKind.RANK1 if n.s_ab == 0.0 else BoundKind.RANK1_CORRELATED
+        return bound_verdict(margin, max(n.s_a * n.s_b, k**2 + n.s_ab**2), kind, tol)
+    block = noise_form(model) + coupling_form(model)
+    margin = np.linalg.eigvalsh(block)[0]
+    return bound_verdict(margin, np.abs(block).max(), BoundKind.GENERAL_MATRIX, tol)
 
 
 def stringent_ns_check(
@@ -207,11 +190,12 @@ def stringent_ns_check(
     under restricted local dynamics; when the overlap is exactly one the
     condition is also necessary, which the returned flag records.
     """
-    margin = s_a * s_b - shapes.rho_sq * (k**2 + s_ab**2)
-    return ThresholdVerdict(
-        satisfied=bool(margin >= -tol),
-        margin=float(margin),
-        bound_kind=BoundKind.STRINGENT_NS,
+    coupled = shapes.rho_sq * (k**2 + s_ab**2)
+    return bound_verdict(
+        s_a * s_b - coupled,
+        max(s_a * s_b, coupled),
+        BoundKind.STRINGENT_NS,
+        tol,
         necessary_and_sufficient=bool(abs(shapes.rho_sq - 1.0) <= tol_ns),
     )
 
@@ -220,29 +204,21 @@ def stringent_ns_check(
 
 
 @dataclass(frozen=True, eq=False)
-class CertificateFrame:
-    """Congruences mapping the rotated construction frame to the lab frame."""
-
-    williamson_s: np.ndarray
-    rotation: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
 class SeparabilityCertificate:
     """Explicit separable decomposition ``V = sigma_a (+) sigma_b + N``.
 
     All matrices are reported in the lab frame; the decomposition refers to
-    the first-order covariance ``v_first_order`` (the ``to_lab()`` image of
-    the perturbative state).  ``remainder`` is positive semidefinite and the
-    sigmas are physical single-side covariances, so the decomposition is a
-    separability proof for the first-order state.
+    the first-order covariance ``v_first_order``, the ``to_lab()`` image of
+    the perturbative state in ``frame``.  ``remainder`` is positive
+    semidefinite and the sigmas are physical single-side covariances, so the
+    decomposition is a separability proof for the first-order state.
     """
 
     sigma_a: np.ndarray
     sigma_b: np.ndarray
     remainder: np.ndarray
     v_first_order: CovarianceMatrix
-    frame: CertificateFrame
+    frame: PerturbativeFrame
     margin: float
     min_remainder_eig: float
     sigma_physicality_margins: tuple[float, float]
@@ -341,9 +317,8 @@ def certificate_first_order(
     nb2 = float(terms.w_b @ terms.w_b)
     blocks = _reduced_blocks(n.s_a, n.s_b, na2, nb2, tau, x_mat)
     min_eigs = [float(np.linalg.eigvalsh(b)[0]) for b in blocks]
-    worst = int(np.argmin(min_eigs)) if min_eigs else 0
-    scale = max(1.0, max(np.abs(b).max() for b in blocks)) if blocks else 1.0
-    if min_eigs and min_eigs[worst] < -tol * scale:
+    worst = int(np.argmin(min_eigs))
+    if min_eigs[worst] < -tol * max(np.abs(b).max() for b in blocks):
         return CertificateFailure(
             margin=float(margin),
             failed_block=blocks[worst],
@@ -351,53 +326,38 @@ def certificate_first_order(
             note="noise does not dominate the coupling; balancing term not PSD",
         )
 
-    eta_a = mode_form(lo.n_a)
-    eta_b = mode_form(lo.n_b)
-    dv_a = _delta_v(terms.p_a, d_a, eta_a)
-    dv_b = _delta_v(terms.p_b, d_b, eta_b)
-
-    sigma_final_a = 0.5 * np.eye(lo.dim_a) - dv_a
-    sigma_final_b = 0.5 * np.eye(lo.dim_b) - dv_b
-
-    n_rot = terms.v_g + terms.v_th
-    n_rot = n_rot + _blockdiag(dv_a, dv_b)
+    dv_a = _delta_v(terms.p_a, d_a, mode_form(lo.n_a))
+    dv_b = _delta_v(terms.p_b, d_b, mode_form(lo.n_b))
+    dv = direct_sum(dv_a, dv_b)
+    n_rot = terms.v_g + terms.v_th + dv
     n_rot = 0.5 * (n_rot + n_rot.T)
 
     # dense eigensolve cross-check of the reduced-block positivity argument
-    n_scale = max(1.0, np.abs(n_rot).max())
     min_remainder = float(np.linalg.eigvalsh(n_rot)[0])
-    if min_remainder < -1e-9 * n_scale:
+    if min_remainder < -1e-9 * np.abs(n_rot).max():
         raise RuntimeError(
             "remainder failed its dense PSD cross-check "
             f"(min eigenvalue {min_remainder:.3e}) despite the reduced blocks passing"
         )
 
-    s_inv_a = np.linalg.inv(terms.s_a)
-    s_inv_b = np.linalg.inv(terms.s_b)
-    map_a = s_inv_a @ terms.rotation_a
-    map_b = s_inv_b @ terms.rotation_b
-    sigma_a = map_a @ sigma_final_a @ map_a.T
-    sigma_b = map_b @ sigma_final_b @ map_b.T
-    map_full = _blockdiag(map_a, map_b)
-    n_lab = map_full @ n_rot @ map_full.T
-
-    v_rot = 0.5 * np.eye(lo.dim) + terms.v_g + terms.v_th
-    v_lab = CovarianceMatrix(map_full @ v_rot @ map_full.T, lo)
-
-    residual = float(
-        np.abs(v_lab.matrix - _blockdiag(sigma_a, sigma_b) - n_lab).max()
-    )
+    frame = PerturbativeFrame.from_terms(terms)
+    lab = frame.lab_map()
+    sigmas = lab @ (0.5 * np.eye(lo.dim) - dv) @ lab.T
+    sigma_a, sigma_b = sigmas[: lo.dim_a, : lo.dim_a], sigmas[lo.dim_a :, lo.dim_a :]
+    n_lab = lab @ n_rot @ lab.T
+    v_lab = frame.to_lab()
+    residual = float(np.abs(v_lab.matrix - direct_sum(sigma_a, sigma_b) - n_lab).max())
 
     # the balancing term anticommutes with the symplectic form, so the
     # Heisenberg defect of I/2 - dV is second order: -O(|dV|^2), not -O(|dV|)
     sigma_margins = []
-    for side, sigma, dv, n_modes in (
+    for side, sigma, dv_side, n_modes in (
         ("A", sigma_a, dv_a, lo.n_a),
         ("B", sigma_b, dv_b, lo.n_b),
     ):
         cov = CovarianceMatrix(sigma, ModeLayout(n_modes, 0))
-        sigma_margins.append(_physicality_margin(cov))
-        allowance = 4.0 * np.linalg.norm(dv, 2) ** 2 + 1e-12
+        sigma_margins.append(physicality_margin(cov))
+        allowance = 4.0 * np.linalg.norm(dv_side, 2) ** 2 + 1e-12
         if sigma_margins[-1] < -allowance:
             raise RuntimeError(
                 f"certificate sigma on side {side} failed its physicality check "
@@ -409,24 +369,9 @@ def certificate_first_order(
         sigma_b=sigma_b,
         remainder=0.5 * (n_lab + n_lab.T),
         v_first_order=v_lab,
-        frame=CertificateFrame(
-            williamson_s=_blockdiag(terms.s_a, terms.s_b),
-            rotation=_blockdiag(terms.rotation_a, terms.rotation_b),
-        ),
+        frame=frame,
         margin=float(margin),
         min_remainder_eig=min_remainder,
         sigma_physicality_margins=(sigma_margins[0], sigma_margins[1]),
         decomposition_residual=residual,
     )
-
-
-def _physicality_margin(v: CovarianceMatrix) -> float:
-    form = build_form(v.layout)
-    return float(np.linalg.eigvalsh(v.matrix + 0.5j * form)[0])
-
-
-def _blockdiag(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    out = np.zeros((a.shape[0] + b.shape[0], a.shape[1] + b.shape[1]))
-    out[: a.shape[0], : a.shape[1]] = a
-    out[a.shape[0] :, a.shape[1] :] = b
-    return out

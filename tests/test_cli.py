@@ -4,6 +4,7 @@ import csv
 import json
 
 import numpy as np
+import pytest
 
 from gausep.cli import main
 
@@ -290,3 +291,68 @@ def test_sweep_rejects_unknown_parameter_path(tmp_path, capsys):
     cfg = write_config(tmp_path, payload)
     assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "g.csv")]) == 1
     assert "parameter path" in capsys.readouterr().err
+
+
+def ray_model_config(strength, s):
+    """1+1 model with ``h = sigma_x`` on both sides, which keeps the x ray."""
+    payload = model_config(strength, s_a=s, s_b=s)
+    for side in ("hamiltonian_a", "hamiltonian_b"):
+        payload["model"][side] = [[0.0, 1.0], [1.0, 0.0]]
+    return payload
+
+
+def test_lab_scale_bounds_agree_on_a_violated_model(tmp_path, capsys):
+    """All three bounds share the margin -7.5e-17 and must all say violated."""
+    payload = ray_model_config(1e-8, 5e-9)
+    payload["stringent_horizon"] = 1.0
+    payload["memory"] = {"c2": 0.0}
+    cfg = write_config(tmp_path, payload)
+    assert main(["threshold", "--config", cfg]) == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines] == ["rank1", "stringent_ns", "damped"]
+    assert all(line.split()[1] == "violated" for line in lines)
+
+
+def test_lab_scale_general_bound_agrees_with_synthesis(tmp_path, capsys):
+    payload = model_config()
+    payload["model"]["coupling"] = {"kind": "general", "matrix": [[2e-12, 0.0], [0.0, 0.0]]}
+    payload["model"]["noise"] = {
+        "kind": "matrix_white",
+        "q_a": [[1e-12, 0.0], [0.0, 1e-12]],
+        "q_b": [[1e-12, 0.0], [0.0, 1e-12]],
+    }
+    cfg = write_config(tmp_path, payload)
+    assert main(["threshold", "--config", cfg]) == 2
+    assert "general_matrix: violated" in capsys.readouterr().out
+    assert main(["locc-verify", "--config", cfg]) == 3
+    assert "exceeds one" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("field", ["s_a", "s_ab", "strength"])
+def test_non_finite_model_input_exits_one(tmp_path, capsys, field, value):
+    payload = model_config(1.0)
+    section = "coupling" if field == "strength" else "noise"
+    payload["model"][section][field] = value
+    cfg = write_config(tmp_path, payload)
+    for command in ("threshold", "locc-verify"):
+        assert main([command, "--config", cfg]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "must be finite" in captured.err
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        {"stringent_horizon": float("nan")},
+        {"stringent_horizon": float("inf")},
+        {"memory": {"c2": float("nan")}},
+    ],
+)
+def test_non_finite_bound_parameter_exits_one(tmp_path, capsys, extra):
+    payload = ray_model_config(1.0, 2.0)
+    payload.update(extra)
+    cfg = write_config(tmp_path, payload)
+    assert main(["threshold", "--config", cfg]) == 1
+    assert "finite" in capsys.readouterr().err

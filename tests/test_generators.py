@@ -140,3 +140,49 @@ def test_validation_rejects_oversized_cross_spectrum():
 def test_validation_rejects_negative_noise():
     with pytest.raises(ValueError):
         rank1_model(s_a=-1.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_validation_rejects_non_finite_entries(bad):
+    vec = np.array([1.0, bad])
+    mat = np.array([[1.0, 0.0], [0.0, bad]])
+    with pytest.raises(ValueError, match="finite"):
+        rank1_model(k=bad)
+    with pytest.raises(ValueError, match="finite"):
+        rank1_model(s_b=bad)
+    with pytest.raises(ValueError, match="finite"):
+        rank1_model(h_a=mat)
+    with pytest.raises(ValueError, match="finite"):
+        SystemModel(
+            layout=ModeLayout(1, 1),
+            h_a=np.zeros((2, 2)),
+            h_b=np.zeros((2, 2)),
+            coupling=Rank1Coupling(strength=1.0, vec_a=vec, vec_b=np.array([1.0, 0.0])),
+            noise=ScalarWhiteNoise(s_a=2.0, s_b=2.0),
+        )
+    for coupling, q_b in ((mat, np.eye(2)), (np.eye(2), mat)):
+        with pytest.raises(ValueError, match="finite"):
+            SystemModel(
+                layout=ModeLayout(1, 1),
+                h_a=np.zeros((2, 2)),
+                h_b=np.zeros((2, 2)),
+                coupling=GeneralCoupling(matrix=coupling),
+                noise=MatrixWhiteNoise(q_a=np.eye(2), q_b=q_b),
+            )
+
+
+def test_validation_judges_lab_scale_forms_by_their_own_size():
+    def general(q_a):
+        return SystemModel(
+            layout=ModeLayout(1, 1),
+            h_a=np.zeros((2, 2)),
+            h_b=np.zeros((2, 2)),
+            coupling=GeneralCoupling(matrix=np.zeros((2, 2))),
+            noise=MatrixWhiteNoise(q_a=q_a, q_b=1e-12 * np.eye(2)),
+        )
+
+    with pytest.raises(ValueError, match="positive semidefinite"):
+        general(np.diag([1e-12, -1e-11]))
+    with pytest.raises(ValueError, match="symmetric"):
+        general(np.array([[1e-12, 5e-12], [0.0, 1e-12]]))
+    general(1e-12 * np.eye(2))

@@ -171,3 +171,14 @@ def test_scenario_validation():
         TwoMassScenario(1.0, 1.0, -0.1, 1e-9, 1e-9, 1e-3)
     with pytest.raises(ValueError):
         MediatorScenario(1.0, 2.0, 0.1, 1e-9, 1e-9, 1e-3, mass_b_kg=4.0)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0])
+def test_scenario_validation_rejects_nan_infinite_and_zero(bad):
+    with pytest.raises(ValueError, match="temperature_K"):
+        TwoMassScenario(1.0, 1.0, 0.1, 1e-9, 1e-9, bad)
+    with pytest.raises(ValueError, match="density_mediator_kg_m3"):
+        SphereMediatorScenario(1e-3, 10.0, bad, 1e-8, 1e-8, 1e-3)
+    # the optional direct-coupling fields are checked once they are set
+    with pytest.raises(ValueError, match="separation_ab_m"):
+        MediatorScenario(1.0, 2.0, 0.1, 1e-9, 1e-9, 1e-3, mass_b_kg=4.0, separation_ab_m=bad)

@@ -156,6 +156,17 @@ def test_one_way_feed_forward_is_rejected():
         effective_generator(protocol)
 
 
+def test_one_way_feed_forward_is_rejected_at_lab_scale():
+    ch = Rank1Channel(
+        side="A", gamma=1e-12, vec=np.array([1.0, 0.0]),
+        lam=1e-12, feed_vec=np.array([1.0, 0.0]),
+    )
+    protocol = LoccProtocol(layout=ModeLayout(1, 1), channels=(ch,),
+                            local_hamiltonian=np.zeros((4, 4)))
+    with pytest.raises(ValueError, match="unbalanced"):
+        effective_generator(protocol)
+
+
 def test_channel_step_preserves_physicality():
     ch = Rank1Channel(side="A", gamma=0.7, vec=np.array([1.0, 0.0]))
     v = CovarianceMatrix.vacuum(ModeLayout(1, 1))

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from gausep.dynamics import evolve, shape_functions
+from gausep.dynamics import evolve, perturbative_v, shape_functions
 from gausep.generators import (
     GeneralCoupling,
     MatrixWhiteNoise,
@@ -214,3 +214,28 @@ def test_certificate_failure_block_eigenvalue_is_exact():
     eigs = np.linalg.eigvalsh(cert.failed_block)
     s, tau = 1e-5, 2e-5
     np.testing.assert_allclose(eigs, [(s - tau) / 2, (s + tau) / 2], rtol=1e-10)
+
+
+def harmonic_model(k, s):
+    eye = np.eye(2)
+    return rank1_model(k, s, s, h_a=eye, h_b=eye)
+
+
+def test_certificate_refuses_a_violated_lab_scale_model():
+    """s = k/2 violates the bound; no tolerance may turn it into a proof."""
+    cert = certificate_first_order(harmonic_model(1e-10, 0.5e-10), 1.0)
+    assert isinstance(cert, CertificateFailure)
+    assert cert.margin < 0 and cert.min_block_eig < 0
+    assert not threshold(harmonic_model(1e-10, 0.5e-10)).satisfied
+
+
+@pytest.mark.parametrize("k", [1e-2, 1e-6, 1e-10, 1e-12])
+def test_certificate_holds_above_threshold_at_every_scale(k):
+    model = harmonic_model(k, 2 * k)
+    cert = certificate_first_order(model, 1.0)
+    assert isinstance(cert, SeparabilityCertificate)
+    assert cert.min_remainder_eig > 0
+    assert cert.decomposition_residual < 1e-15
+    # the certificate decomposes exactly the state perturbative_v reports
+    lab = perturbative_v(model, 1.0).to_lab()
+    np.testing.assert_array_equal(cert.v_first_order.matrix, lab.matrix)
