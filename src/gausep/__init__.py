@@ -19,10 +19,8 @@ from .generators import (
     ScalarWhiteNoise,
     SystemModel,
     build_generator,
-    load_model,
     model_from_dict,
     model_to_dict,
-    save_model,
 )
 from .dynamics import (
     PerturbativeFrame,

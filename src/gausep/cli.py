@@ -298,6 +298,11 @@ def _trotter_orders(protocol, target, t: float, dt: float):
 def cmd_locc_verify(args) -> int:
     data = load_config(args.config, _RUN_SCHEMA)
     model = _model_from_config(data)
+    if args.t <= 0 or args.dt <= 0:
+        raise ConfigError("--t and --dt must be positive")
+    # the oracle is built first, so an unsupported layout fails before any output
+    cutoff = int(data.get("oracle_cutoff", 12))
+    fgen = fock_generator_from_model(model, cutoff) if args.oracle else None
     target = build_generator(model)
     try:
         if model.is_rank1:
@@ -310,8 +315,6 @@ def cmd_locc_verify(args) -> int:
     residual = _generator_residual(protocol, target)
     print(f"channels: {len(protocol.channels)}")
     print(f"generator_residual: {format_value(residual)}")
-    if args.t <= 0 or args.dt <= 0:
-        raise ConfigError("--t and --dt must be positive")
     e1, e2 = _trotter_orders(protocol, target, args.t, args.dt)
     print(f"trotter_error_dt: {format_value(e1)}")
     print(f"trotter_error_dt_half: {format_value(e2)}")
@@ -320,20 +323,15 @@ def cmd_locc_verify(args) -> int:
         print("trotter_order: exact")
     else:
         print(f"trotter_order: {format_value(np.log2(e1 / e2))}")
-    if args.oracle:
-        _oracle_report(data, model, protocol, args.dt)
+    if fgen is not None:
+        rho0 = fgen.space.vacuum()
+        semigroup = lindblad_integrate(fgen, rho0, args.dt)
+        stepped, defect = protocol_kraus_step(fgen.space, rho0, protocol, args.dt)
+        residual = float(np.abs(stepped - semigroup).max())
+        print(f"oracle_cutoff: {fgen.space.cutoff}")
+        print(f"oracle_channel_residual: {format_value(residual)}")
+        print(f"oracle_trace_defect: {format_value(defect)}")
     return EXIT_OK
-
-
-def _oracle_report(data, model, protocol, dt: float) -> None:
-    fgen = fock_generator_from_model(model, int(data.get("oracle_cutoff", 12)))
-    rho0 = fgen.space.vacuum()
-    semigroup = lindblad_integrate(fgen, rho0, dt)
-    stepped, defect = protocol_kraus_step(fgen.space, rho0, protocol, dt)
-    residual = float(np.abs(stepped - semigroup).max())
-    print(f"oracle_cutoff: {fgen.space.cutoff}")
-    print(f"oracle_channel_residual: {format_value(residual)}")
-    print(f"oracle_trace_defect: {format_value(defect)}")
 
 
 # -- sweep command -------------------------------------------------------------
@@ -523,6 +521,13 @@ def cmd_sweep(args) -> int:
 # -- entry point ---------------------------------------------------------------
 
 
+def _tolerance(text: str) -> float:
+    value = float(text)
+    if not (np.isfinite(value) and value >= 0.0):
+        raise argparse.ArgumentTypeError(f"must be finite and nonnegative, got {text}")
+    return value
+
+
 class _Parser(argparse.ArgumentParser):
     # Usage mistakes are errors (1), not bound violations (2).
     def error(self, message):
@@ -536,7 +541,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_thresh = sub.add_parser("threshold", help="closed-form separability bounds")
     p_thresh.add_argument("--config", required=True)
-    p_thresh.add_argument("--tol", type=float, default=MARGIN_TOL)
+    p_thresh.add_argument("--tol", type=_tolerance, default=MARGIN_TOL)
     p_thresh.set_defaults(func=cmd_threshold)
 
     p_evolve = sub.add_parser("evolve", help="covariance time series as CSV")
@@ -551,7 +556,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_locc.add_argument("--t", type=float, default=0.1)
     p_locc.add_argument("--dt", type=float, default=1e-3)
     p_locc.add_argument("--oracle", action="store_true")
-    p_locc.add_argument("--tol", type=float, default=MARGIN_TOL)
+    p_locc.add_argument("--tol", type=_tolerance, default=MARGIN_TOL)
     p_locc.set_defaults(func=cmd_locc_verify)
 
     p_sweep = sub.add_parser("sweep", help="cartesian parameter sweep as CSV")

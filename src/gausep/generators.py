@@ -26,9 +26,7 @@ Two model variants are supported and must be paired consistently:
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -288,11 +286,3 @@ def model_from_dict(d: dict) -> SystemModel:
         coupling=coupling,
         noise=noise,
     )
-
-
-def save_model(model: SystemModel, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(model_to_dict(model), indent=2) + "\n")
-
-
-def load_model(path: str | Path) -> SystemModel:
-    return model_from_dict(json.loads(Path(path).read_text()))

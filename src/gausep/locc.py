@@ -38,7 +38,8 @@ from .generators import (
     generator_from_forms,
     local_drift_blocks,
 )
-from .separability import MARGIN_TOL, BoundKind, ThresholdVerdict, bound_verdict
+from .separability import MARGIN_TOL, BoundKind, ThresholdVerdict
+from .separability import bound_verdict, resolved_product
 from .symplectic import CovarianceMatrix, ModeLayout, build_form, direct_sum, mode_form
 
 RANK_CUTOFF = 1e-12
@@ -139,7 +140,7 @@ def solve_symmetric(
         raise ValueError("branch must be 'plus' or 'minus'")
     if s_a <= 0 or s_b <= 0:
         raise ValueError("noise strengths must be positive")
-    margin = s_a * s_b - k**2
+    margin = resolved_product(s_a, s_b) - resolved_product(k, k)
     if margin < 0:
         raise InfeasibleProtocolError(
             f"coupling dominates the noise (margin {margin:.3e})", margin=margin
@@ -491,12 +492,9 @@ def damped_bound(model: SystemModel, coeffs: MemoryCoefficients, tol: float = MA
             reason="memory correction exhausts a local noise budget",
         )
     inflated = k + abs(coeffs.d_ab) + abs(coeffs.d_ba)
-    return bound_verdict(
-        eff_a * eff_b - inflated**2,
-        max(eff_a * eff_b, inflated**2),
-        BoundKind.DAMPED,
-        tol,
-    )
+    noise = resolved_product(eff_a, eff_b)
+    coupled = resolved_product(inflated, inflated)
+    return bound_verdict(noise - coupled, max(noise, coupled), BoundKind.DAMPED, tol)
 
 
 # -- serialization -------------------------------------------------------------

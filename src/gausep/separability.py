@@ -27,6 +27,7 @@ cross-verified by a dense eigensolve of the assembled remainder.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -156,6 +157,14 @@ def bound_verdict(
     )
 
 
+def resolved_product(*factors: float) -> float:
+    """Product of rates, refused as unresolved if nonzero factors underflow it."""
+    product = math.prod(factors)
+    if all(factors) and abs(product) < np.finfo(float).tiny:
+        raise ValueError("unresolved: a product of nonzero rates underflows")
+    return product
+
+
 def threshold(model: SystemModel, tol: float = MARGIN_TOL) -> ThresholdVerdict:
     """Closed-form no-entanglement bound for a model variant.
 
@@ -167,9 +176,10 @@ def threshold(model: SystemModel, tol: float = MARGIN_TOL) -> ThresholdVerdict:
     if isinstance(model.coupling, Rank1Coupling):
         n = model.noise
         k = model.coupling.strength
-        margin = n.s_a * n.s_b - k**2 - n.s_ab**2
+        noise = resolved_product(n.s_a, n.s_b)
+        k_sq, ab_sq = resolved_product(k, k), resolved_product(n.s_ab, n.s_ab)
         kind = BoundKind.RANK1 if n.s_ab == 0.0 else BoundKind.RANK1_CORRELATED
-        return bound_verdict(margin, max(n.s_a * n.s_b, k**2 + n.s_ab**2), kind, tol)
+        return bound_verdict(noise - k_sq - ab_sq, max(noise, k_sq + ab_sq), kind, tol)
     block = noise_form(model) + coupling_form(model)
     margin = np.linalg.eigvalsh(block)[0]
     return bound_verdict(margin, np.abs(block).max(), BoundKind.GENERAL_MATRIX, tol)
@@ -190,10 +200,12 @@ def stringent_ns_check(
     under restricted local dynamics; when the overlap is exactly one the
     condition is also necessary, which the returned flag records.
     """
-    coupled = shapes.rho_sq * (k**2 + s_ab**2)
+    noise = resolved_product(s_a, s_b)
+    squares = resolved_product(k, k) + resolved_product(s_ab, s_ab)
+    coupled = resolved_product(shapes.rho_sq, squares)
     return bound_verdict(
-        s_a * s_b - coupled,
-        max(s_a * s_b, coupled),
+        noise - coupled,
+        max(noise, coupled),
         BoundKind.STRINGENT_NS,
         tol,
         necessary_and_sufficient=bool(abs(shapes.rho_sq - 1.0) <= tol_ns),

@@ -356,3 +356,50 @@ def test_non_finite_bound_parameter_exits_one(tmp_path, capsys, extra):
     cfg = write_config(tmp_path, payload)
     assert main(["threshold", "--config", cfg]) == 1
     assert "finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["threshold", "locc-verify"])
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1e-3"])
+def test_invalid_tolerance_exits_one_before_any_verdict(tmp_path, capsys, command, tol):
+    payload = ray_model_config(1.0, 2.0)
+    payload["stringent_horizon"] = 1.0
+    payload["memory"] = {"c2": 0.0}
+    cfg = write_config(tmp_path, payload)
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--config", cfg, f"--tol={tol}"])
+    assert exit_info.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--tol" in captured.err
+
+
+def test_oracle_on_two_modes_per_side_exits_one_without_output(tmp_path, capsys):
+    model = json.loads(json.dumps(FREE_MASS))
+    model["layout"] = {"n_a": 2, "n_b": 2}
+    model["hamiltonian_a"] = model["hamiltonian_b"] = np.eye(4).tolist()
+    model["coupling"]["vec_a"] = model["coupling"]["vec_b"] = [1.0, 0.0, 0.0, 0.0]
+    cfg = write_config(tmp_path, {"model": model})
+    assert main(["locc-verify", "--config", cfg]) == 0
+    capsys.readouterr()
+    assert main(["locc-verify", "--config", cfg, "--oracle"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "one mode per side" in captured.err
+
+
+@pytest.mark.parametrize("step", [["--t", "-0.1"], ["--dt", "0"]])
+def test_locc_verify_rejects_a_bad_step_before_any_output(tmp_path, capsys, step):
+    cfg = write_config(tmp_path, model_config(1.0))
+    assert main(["locc-verify", "--config", cfg, *step]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "must be positive" in captured.err
+
+
+def test_underflowing_squared_coupling_is_unresolved(tmp_path, capsys):
+    """k = 1e-170 with no noise violates the bound, but k**2 is 0 in double."""
+    cfg = write_config(tmp_path, model_config(1e-170, s_a=0.0, s_b=0.0))
+    assert main(["threshold", "--config", cfg]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unresolved" in captured.err

@@ -12,6 +12,7 @@ from gausep.fock import (
     fock_generator_from_model,
     kraus_average_step,
     lindblad_integrate,
+    lindblad_rhs,
     log_negativity_dense,
     product_state,
     protocol_kraus_step,
@@ -154,3 +155,82 @@ def test_space_validation():
         FockSpace(1, modes=1)
     with pytest.raises(ValueError):
         FockSpace(8, modes=3)
+
+
+def dense_liouvillian(fgen):
+    """Column-stacked superoperator: vec(A X B) = (B^T kron A) vec(X)."""
+    half = fgen.half_generator.toarray()
+    eye = np.eye(half.shape[0])
+    sup = np.kron(eye, half) + np.kron(half.conj(), eye)
+    for rate, op in fgen.lindblads:
+        dense = op.toarray()
+        sup += rate * np.kron(dense.T, dense)
+    return sup
+
+
+def random_state(dim, seed):
+    rng = np.random.default_rng(seed)
+    z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    rho = z @ z.conj().T
+    return rho / np.trace(rho)
+
+
+def correlated_model():
+    """Generic coupling direction, correlated baths, unequal local frequencies."""
+    coupling = Rank1Coupling(0.7, np.array([0.6, 0.8]), np.array([1.0, 0.0]))
+    return SystemModel(
+        layout=ModeLayout(1, 1),
+        h_a=np.diag([1.0, 0.5]),
+        h_b=np.array([[0.8, 0.1], [0.1, 0.6]]),
+        coupling=coupling,
+        noise=ScalarWhiteNoise(s_a=0.9, s_b=0.7, s_ab=0.3),
+    )
+
+
+@pytest.mark.parametrize("cutoff, t", [(4, 0.05), (4, 1.5), (5, 0.4)])
+def test_integrator_matches_the_liouvillian_exponential(cutoff, t):
+    """Exact to roundoff, over one substep and over several."""
+    fgen = fock_generator_from_model(correlated_model(), cutoff)
+    rho0 = random_state(fgen.space.dim, cutoff)
+    exact = expm(t * dense_liouvillian(fgen)) @ rho0.reshape(-1, order="F")
+    rho = lindblad_integrate(fgen, rho0, t, leakage_limit=1.0)
+    assert np.abs(rho - exact.reshape(rho0.shape, order="F")).max() <= 1e-13
+
+
+def test_integrator_composes_exactly():
+    """One call to t equals five calls to t/5."""
+    fgen = fock_generator_from_model(correlated_model(), cutoff=12)
+    t = 0.05
+    once = lindblad_integrate(fgen, fgen.space.vacuum(), t)
+    chunked = fgen.space.vacuum()
+    for _ in range(5):
+        chunked = lindblad_integrate(fgen, chunked, t / 5)
+    assert np.abs(once - chunked).max() <= 1e-13
+
+
+def test_rhs_matches_the_dense_master_equation():
+    fgen = fock_generator_from_model(correlated_model(), cutoff=6)
+    rho = random_state(fgen.space.dim, 3)
+    h = fgen.hamiltonian.toarray()
+    expected = -1j * (h @ rho - rho @ h)
+    for rate, op in fgen.lindblads:
+        dense = op.toarray()
+        sq = dense @ dense
+        expected += rate * (dense @ rho @ dense - 0.5 * (sq @ rho + rho @ sq))
+    np.testing.assert_allclose(lindblad_rhs(fgen, rho), expected, rtol=0, atol=1e-13)
+
+
+def test_dense_entanglement_matches_gaussian_at_cutoff_twenty():
+    """A strongly coupled model below threshold, checked at a cutoff of 20."""
+    model = rank1_model(1.5, 0.5, 0.6, h_a=np.eye(2), h_b=np.eye(2))
+    gen = build_generator(model)
+    fgen = fock_generator_from_model(model, cutoff=20)
+    t = 0.01
+    rho = lindblad_integrate(fgen, fgen.space.vacuum(), t)
+    exact_cov = evolve(gen, CovarianceMatrix.vacuum(model.layout), t)
+    np.testing.assert_allclose(
+        extract_covariance(fgen.space, rho).matrix, exact_cov.matrix, atol=1e-12
+    )
+    dense_ln = log_negativity_dense(fgen.space, rho)
+    assert dense_ln > 1e-2
+    assert abs(dense_ln - log_negativity(exact_cov)) <= 1e-12

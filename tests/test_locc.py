@@ -273,3 +273,12 @@ def test_damped_bound_exhausted_budget():
     verdict = damped_bound(rank1_model(0.1, 1.0, 1.0), MemoryCoefficients(0.6, 0.0, 0.0, 0.0))
     assert not verdict.satisfied
     assert "budget" in verdict.reason
+
+
+def test_damped_bound_and_synthesis_refuse_underflowing_products():
+    """s_a s_b = 1e-341 < k^2 = 1e-340: violated, but both sides underflow."""
+    model = rank1_model(1e-170, 1e-170, 1e-171)
+    with pytest.raises(ValueError, match="unresolved"):
+        damped_bound(model, MemoryCoefficients(0.0, 0.0, 0.0, 0.0))
+    with pytest.raises(ValueError, match="unresolved"):
+        solve_symmetric(1e-170, 1e-171, 1e-170)

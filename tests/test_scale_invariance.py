@@ -7,7 +7,8 @@ a verdict that changes with ``c`` comes from the tolerance policy, not from
 the physics.  The factors span the dimensionless couplings that laboratory
 scenarios produce.  Nonzero magnitudes are drawn from ``[1e-6, 4]``: far
 below that (around 1e-150) the squared rates underflow and double precision
-no longer represents the bound at all, which is a different defect.
+no longer represents the bound at all; such models are refused as
+unresolved instead of judged.
 """
 
 import numpy as np

@@ -239,3 +239,13 @@ def test_certificate_holds_above_threshold_at_every_scale(k):
     # the certificate decomposes exactly the state perturbative_v reports
     lab = perturbative_v(model, 1.0).to_lab()
     np.testing.assert_array_equal(cert.v_first_order.matrix, lab.matrix)
+
+
+def test_underflowing_rate_products_are_unresolved():
+    """s_a s_b = 1e-341 < k^2 = 1e-340 is a violated bound, but both underflow."""
+    with pytest.raises(ValueError, match="unresolved"):
+        threshold(rank1_model(1e-170, 1e-170, 1e-171))
+    shapes = shape_functions(rank1_model(1.0, 2.0, 2.0), 0.05)
+    with pytest.raises(ValueError, match="unresolved"):
+        stringent_ns_check(shapes, 0.0, 0.0, 1e-170)
+    assert threshold(rank1_model(0.0, 1e-170, 0.0)).satisfied
