@@ -21,9 +21,10 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from jsonschema import ValidationError, validate
+from jsonschema.exceptions import best_match
+from jsonschema.validators import validator_for
 
-from .dynamics import evolve, shape_functions
+from .dynamics import evolve, shape_functions, transition_blocks
 from .fock import fock_generator_from_model, lindblad_integrate, protocol_kraus_step
 from .generators import build_generator, model_from_dict
 from .locc import (
@@ -143,8 +144,27 @@ _RUN_SCHEMA = {
 }
 
 
+_VALIDATORS: dict[int, object] = {}
+
+
+def _validator(schema: dict):
+    """Validator for ``schema``, checked against its metaschema once and kept.
+
+    Keyed by identity: each validator holds its schema, so the id stays taken.
+    """
+    if id(schema) not in _VALIDATORS:
+        cls = validator_for(schema)
+        cls.check_schema(schema)
+        _VALIDATORS[id(schema)] = cls(schema)
+    return _VALIDATORS[id(schema)]
+
+
 def load_config(path: str, schema: dict) -> dict:
-    """Read and schema-validate a JSON config, with positional diagnostics."""
+    """Read and schema-validate a JSON config, with positional diagnostics.
+
+    Errors are chosen by ``best_match`` exactly as ``jsonschema.validate``
+    chooses them.
+    """
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -153,11 +173,10 @@ def load_config(path: str, schema: dict) -> dict:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
-    try:
-        validate(data, schema)
-    except ValidationError as exc:
-        where = "/".join(str(p) for p in exc.absolute_path) or "<root>"
-        raise ConfigError(f"{path}: at {where}: {exc.message}") from exc
+    error = best_match(_validator(schema).iter_errors(data))
+    if error is not None:
+        where = "/".join(str(p) for p in error.absolute_path) or "<root>"
+        raise ConfigError(f"{path}: at {where}: {error.message}") from error
     return data
 
 
@@ -248,13 +267,22 @@ def cmd_evolve(args) -> int:
         raise ConfigError("--t must be nonnegative")
     if args.steps < 1:
         raise ConfigError("--steps must be at least 1")
+    # one exact transition over t/steps, iterated row to row
+    phi, acc = transition_blocks(gen.drift, gen.diffusion, args.t / args.steps)
     stream, owned = _open_out(args.out)
     try:
         writer = _csv_writer(stream)
         writer.writerow(["t", "min_sympl_eig_pt", "log_negativity", "physical"])
+        v = v0
         for i in range(args.steps + 1):
             t_i = args.t * i / args.steps
-            v = evolve(gen, v0, t_i) if i else v0
+            if i:
+                m = phi @ v.matrix @ phi.T + acc
+                if not np.all(np.isfinite(m)):
+                    raise ValueError(
+                        "covariance propagation produced non-finite entries"
+                    )
+                v = CovarianceMatrix(m, model.layout)
             ppt = ppt_multimode(v)
             writer.writerow(
                 [

@@ -375,19 +375,19 @@ def shape_functions(
 
     fs = []
     for side, mprime, w in (("A", mprime_a, w_a), ("B", mprime_b, w_b)):
+        # on the uniform grid sample j is E^j w with E = expm(M'^T dt); each
+        # round appends E^(2^k) times the rows so far, doubling them
+        power = expm(mprime.T * (times[1] - times[0]))
+        vecs = w[None, :]
+        while len(vecs) < samples:
+            vecs = np.vstack([vecs, vecs @ power.T])
+            power = power @ power
+        vecs = vecs[:samples]
         norm_w = float(np.linalg.norm(w))
-        f = np.empty(samples)
-        max_angle = 0.0
-        violated = False
-        for j, s in enumerate(times):
-            vec = expm(mprime.T * s) @ w
-            f[j] = float(vec @ w) / norm_w**2
-            residual = vec - f[j] * w
-            r = float(np.linalg.norm(residual))
-            max_angle = max(max_angle, float(np.arctan2(r, abs(f[j]) * norm_w)))
-            if r > tol_parallel * np.linalg.norm(vec):
-                violated = True
-        if violated:
+        f = vecs @ w / norm_w**2
+        r = np.linalg.norm(vecs - np.outer(f, w), axis=1)
+        if np.any(r > tol_parallel * np.linalg.norm(vecs, axis=1)):
+            max_angle = float(np.arctan2(r, np.abs(f) * norm_w).max())
             raise ParallelConditionError(side, max_angle)
         fs.append(f)
 

@@ -369,19 +369,47 @@ def channel_step(
     ``1/(4 gamma dt)`` followed by record-proportional displacements, which is
     a Gaussian channel for any ``dt``; no small-step expansion is involved.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
     lo = layout if layout is not None else v.layout
-    omega = build_form(lo)
-    m, f = _channel_vectors(ch, lo)
-    back = omega @ m
-    d = dt * ch.kappa * back
-    if f is not None:
-        d = d + dt * ch.lam * (omega @ f)
+    m, back, d = _channel_kick(ch, lo, dt)
     mid = v.matrix + ch.gamma * dt * np.outer(back, back)
     gain = np.eye(lo.dim) + np.outer(d, m)
     out = gain @ mid @ gain.T + np.outer(d, d) / (4.0 * ch.gamma * dt)
     return CovarianceMatrix(0.5 * (out + out.T), lo)
+
+
+def _channel_kick(ch: Rank1Channel, layout: ModeLayout, dt: float):
+    """Measured direction ``m``, backaction ``Omega m`` and record kick ``d``."""
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    omega = build_form(layout)
+    m, f = _channel_vectors(ch, layout)
+    back = omega @ m
+    d = dt * ch.kappa * back
+    if f is not None:
+        d = d + dt * ch.lam * (omega @ f)
+    return m, back, d
+
+
+def _affine_step(protocol: LoccProtocol, dt: float):
+    """``(S, N)`` with one protocol step equal to ``V -> S V S^T + N``.
+
+    Channel ``k`` is ``V -> G_k V G_k^T + N_k`` with ``G_k = I + d m^T`` and
+    ``N_k = gamma dt b b^T + d d^T / (4 gamma dt)``, ``b = Omega m``; the
+    backaction passes the gain unchanged because ``m^T Omega m = 0``.  The
+    channels compose in order, then the local unitary ``exp(Omega H dt)``.
+    """
+    lo = protocol.layout
+    s = np.eye(lo.dim)
+    n = np.zeros((lo.dim, lo.dim))
+    for ch in protocol.channels:
+        m, back, d = _channel_kick(ch, lo, dt)
+        gain = np.eye(lo.dim) + np.outer(d, m)
+        s = gain @ s
+        n = gain @ n @ gain.T + ch.gamma * dt * np.outer(back, back)
+        n += np.outer(d, d) / (4.0 * ch.gamma * dt)
+    s_loc = expm(build_form(lo) @ protocol.local_hamiltonian * dt)
+    n = s_loc @ n @ s_loc.T
+    return s_loc @ s, 0.5 * (n + n.T)
 
 
 def protocol_step(v: CovarianceMatrix, protocol: LoccProtocol, dt: float) -> CovarianceMatrix:
@@ -390,26 +418,26 @@ def protocol_step(v: CovarianceMatrix, protocol: LoccProtocol, dt: float) -> Cov
     First-order splitting; the error against the effective semigroup is
     ``O(dt^2)`` per step.
     """
-    out = v
-    for ch in protocol.channels:
-        out = channel_step(out, ch, dt, protocol.layout)
-    omega = build_form(protocol.layout)
-    s_loc = expm(omega @ protocol.local_hamiltonian * dt)
-    m = s_loc @ out.matrix @ s_loc.T
+    s, n = _affine_step(protocol, dt)
+    m = s @ v.matrix @ s.T + n
     return CovarianceMatrix(0.5 * (m + m.T), protocol.layout)
 
 
 def run_protocol(
     v0: CovarianceMatrix, protocol: LoccProtocol, t: float, steps: int
 ) -> CovarianceMatrix:
-    """Iterate :func:`protocol_step` over ``steps`` equal slices of ``t``."""
+    """Iterate :func:`protocol_step` over ``steps`` equal slices of ``t``.
+
+    The step is one fixed affine map, composed once and applied ``steps`` times.
+    """
     if steps < 1:
         raise ValueError("steps must be at least 1")
-    out = v0
-    dt = t / steps
+    s, n = _affine_step(protocol, t / steps)
+    m = v0.matrix
     for _ in range(steps):
-        out = protocol_step(out, protocol, dt)
-    return out
+        m = s @ m @ s.T + n
+        m = 0.5 * (m + m.T)
+    return CovarianceMatrix(m, protocol.layout)
 
 
 # -- damped (memory-corrected) bound ------------------------------------------

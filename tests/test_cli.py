@@ -3,10 +3,16 @@
 import csv
 import json
 
+import jsonschema
 import numpy as np
 import pytest
 
+from gausep import cli
 from gausep.cli import main
+from gausep.dynamics import evolve
+from gausep.generators import build_generator, model_from_dict
+from gausep.separability import log_negativity, ppt_multimode
+from gausep.symplectic import CovarianceMatrix
 
 FREE_MASS = {
     "layout": {"n_a": 1, "n_b": 1},
@@ -87,6 +93,48 @@ def test_schema_violation_reports_the_offending_path(tmp_path, capsys):
     assert "layout/n_a" in capsys.readouterr().err
 
 
+def invalid_configs():
+    wrong_type = model_config(1.0)
+    wrong_type["model"]["layout"] = {"n_a": "one", "n_b": 0}
+    unknown_kind = model_config(1.0)
+    unknown_kind["model"]["noise"]["kind"] = "pink"
+    del unknown_kind["model"]["coupling"]
+    return [wrong_type, unknown_kind, {"model": [1, 2]}, {"branch": "both"}]
+
+
+@pytest.mark.parametrize("payload", invalid_configs())
+def test_schema_errors_read_as_jsonschema_validate_reports_them(tmp_path, capsys, payload):
+    cfg = write_config(tmp_path, payload)
+    with pytest.raises(jsonschema.ValidationError) as info:
+        jsonschema.validate(payload, cli._RUN_SCHEMA)
+    where = "/".join(str(p) for p in info.value.absolute_path) or "<root>"
+    assert main(["threshold", "--config", cfg]) == 1
+    assert capsys.readouterr().err == f"error: {cfg}: at {where}: {info.value.message}\n"
+
+
+def test_metaschema_is_checked_once_per_schema(tmp_path, monkeypatch):
+    schema_cls = jsonschema.validators.validator_for(cli._RUN_SCHEMA)
+    check = schema_cls.check_schema
+    checked = []
+
+    def counting_check(schema, *args, **kwargs):
+        checked.append(id(schema))
+        return check(schema, *args, **kwargs)
+
+    monkeypatch.setattr(schema_cls, "check_schema", counting_check)
+    monkeypatch.setattr(cli, "_VALIDATORS", {})
+    run_cfg = write_config(tmp_path, model_config(1.0), "run.json")
+    sweep = {
+        "axes": [{"path": "coupling.strength", "min": 0.5, "max": 1.5, "points": 2}],
+        "outputs": ["margin"],
+    }
+    sweep_cfg = write_config(tmp_path, {**model_config(1.0), "sweep": sweep}, "sweep.json")
+    for _ in range(3):
+        cli.load_config(run_cfg, cli._RUN_SCHEMA)
+        cli.load_config(sweep_cfg, cli._SWEEP_SCHEMA)
+    assert sorted(checked) == sorted([id(cli._RUN_SCHEMA), id(cli._SWEEP_SCHEMA)])
+
+
 def test_missing_config_exits_one(tmp_path, capsys):
     assert main(["threshold", "--config", str(tmp_path / "nope.json")]) == 1
     assert "error:" in capsys.readouterr().err
@@ -122,6 +170,30 @@ def test_evolve_saturated_run_stays_separable(tmp_path):
     main(["evolve", "--config", cfg, "--t", "0.05", "--steps", "10", "--out", str(out)])
     log_neg = [float(r[2]) for r in read_csv(out)[1:]]
     assert max(log_neg) < 1e-9
+
+
+def test_evolve_rows_match_evolving_each_time_from_the_start(tmp_path):
+    payload = ray_model_config(3.0, 2.0)
+    payload["model"]["hamiltonian_b"] = [[1.0, 0.2], [0.2, 0.5]]
+    payload["initial_covariance"] = [
+        [0.8, 0.1, 0.0, 0.0],
+        [0.1, 0.6, 0.0, 0.05],
+        [0.0, 0.0, 0.5, 0.0],
+        [0.0, 0.05, 0.0, 0.7],
+    ]
+    cfg = write_config(tmp_path, payload)
+    out = tmp_path / "series.csv"
+    assert main(["evolve", "--config", cfg, "--t", "0.8", "--steps", "40",
+                 "--out", str(out)]) == 0
+    gen = build_generator(model_from_dict(payload["model"]))
+    v0 = CovarianceMatrix(np.array(payload["initial_covariance"]), gen.layout)
+    rows = read_csv(out)[1:]
+    assert len(rows) == 41
+    for row in rows:
+        v = evolve(gen, v0, float(row[0]))
+        assert abs(float(row[1]) - ppt_multimode(v).min_sympl_eig) < 1e-12
+        assert abs(float(row[2]) - log_negativity(v)) < 1e-12
+    assert float(rows[-1][2]) > 0.0
 
 
 def test_locc_verify_reports_small_residual(tmp_path, capsys):

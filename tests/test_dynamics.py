@@ -19,6 +19,7 @@ from gausep.generators import (
     ScalarWhiteNoise,
     SystemModel,
     build_generator,
+    local_drift_blocks,
 )
 from gausep.symplectic import CovarianceMatrix, ModeLayout
 
@@ -123,6 +124,17 @@ def test_shape_functions_scaling_dynamics():
     shapes = shape_functions(model, 0.5)
     np.testing.assert_allclose(shapes.f_a, np.exp(b * shapes.times), rtol=1e-8)
     np.testing.assert_allclose(shapes.rho_sq, 1.0, atol=1e-10)
+
+
+def test_shape_functions_match_one_exponential_per_sample():
+    h_a = np.array([[0.0, 0.6], [0.6, 0.0]])
+    h_b = np.array([[0.0, -0.9], [-0.9, 0.0]])
+    model = rank1_model(1.0, 2.0, 2.0, h_a=h_a, h_b=h_b, vec_b=np.array([0.0, 1.5]))
+    shapes = shape_functions(model, 2.0, samples=101)
+    vecs = (model.coupling.vec_a, model.coupling.vec_b)
+    for f, drift, w in zip((shapes.f_a, shapes.f_b), local_drift_blocks(model), vecs):
+        expected = [expm(drift.T * s) @ w @ w / (w @ w) for s in shapes.times]
+        np.testing.assert_allclose(f, expected, rtol=1e-13)
 
 
 def test_shape_functions_mismatched_scalings_reduce_the_overlap():

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from numpy.polynomial.hermite import hermgauss
 from scipy.linalg import expm
 
 from gausep.dynamics import evolve
@@ -23,8 +24,15 @@ from gausep.generators import (
     ScalarWhiteNoise,
     SystemModel,
     build_generator,
+    noise_form,
 )
-from gausep.locc import Rank1Channel, build_rank1_protocol, channel_step, effective_generator
+from gausep.locc import (
+    LoccProtocol,
+    Rank1Channel,
+    build_rank1_protocol,
+    channel_step,
+    effective_generator,
+)
 from gausep.separability import log_negativity, ppt_two_mode
 from gausep.symplectic import CovarianceMatrix, ModeLayout
 
@@ -121,6 +129,107 @@ def test_protocol_kraus_step_tracks_the_semigroup():
     semigroup = lindblad_integrate(fgen, space.vacuum(), dt)
     assert np.abs(stepped - semigroup).max() < 1e-5
     assert defect < 1e-9
+
+
+def elementwise_kraus_average(space, rho, channel, dt, tol=1e-12, orders=(20, 40, 60)):
+    """Record average with the multiplier built entry by entry on the full space."""
+    c = space.cutoff
+    one = FockSpace(c, modes=1)
+
+    def eigenbasis(vec):
+        return np.linalg.eigh(vec[0] * one.position() + vec[1] * one.momentum())
+
+    m_vals, m_basis = eigenbasis(channel.vec)
+    if channel.feed_vec is None:
+        f_vals, f_basis = np.zeros(c), np.eye(c)
+    else:
+        f_vals, f_basis = eigenbasis(channel.feed_vec)
+    ones = np.ones(c)
+    if channel.side == "A":
+        basis = np.kron(m_basis, f_basis)
+        x_m, x_f = np.kron(m_vals, ones), np.kron(ones, f_vals)
+    else:
+        basis = np.kron(f_basis, m_basis)
+        x_m, x_f = np.kron(ones, m_vals), np.kron(f_vals, ones)
+    delta_m = x_m[:, None] - x_m[None, :]
+    mean_m = 0.5 * (x_m[:, None] + x_m[None, :])
+    phi = channel.lam * (x_f[:, None] - x_f[None, :]) + channel.kappa * delta_m
+    prefactor = np.exp(-0.5 * channel.gamma * dt * delta_m**2 - 1j * dt * mean_m * phi)
+    c_arg = phi * np.sqrt(dt / (2.0 * channel.gamma))
+    w_prev, change = None, np.inf
+    for order in orders:
+        nodes, weights = hermgauss(order)
+        w = np.zeros_like(prefactor)
+        for x, weight in zip(nodes, weights):
+            w += weight * np.exp(-1j * c_arg * x)
+        w *= prefactor / np.sqrt(np.pi)
+        if w_prev is not None:
+            change = float(np.abs(w - w_prev).max())
+        w_prev = w
+        if change <= tol:
+            break
+    out = basis @ ((basis.conj().T @ rho @ basis) * w_prev) @ basis.conj().T
+    out = 0.5 * (out + out.conj().T)
+    return out / np.trace(out).real, order
+
+
+@pytest.mark.parametrize("side", ["A", "B"])
+@pytest.mark.parametrize("feed", [True, False])
+@pytest.mark.parametrize("vacuum", [True, False])
+def test_factored_kraus_average_matches_the_elementwise_multiplier(side, feed, vacuum):
+    cutoff = 7
+    space = FockSpace(cutoff, modes=2)
+    rho = space.vacuum() if vacuum else random_state(space.dim, 3)
+    ch = Rank1Channel(
+        side=side,
+        gamma=1.3,
+        vec=np.array([0.6, 0.8]),
+        lam=0.7 if feed else 0.0,
+        feed_vec=np.array([0.28, -0.96]) if feed else None,
+        kappa=0.4,
+    )
+    for dt in (1e-3, 0.2):
+        out, (order, _, _) = kraus_average_step(space, rho, ch, dt)
+        expected, expected_order = elementwise_kraus_average(space, rho, ch, dt)
+        assert order == expected_order
+        assert np.abs(out - expected).max() < 1e-13
+
+
+def test_protocol_unitary_matches_the_dense_exponential():
+    """U_A (x) U_B from one-mode exponentials equals expm of the two-mode Hamiltonian."""
+    h_a = np.array([[1.0, 0.3], [0.3, 0.5]])
+    h_b = np.array([[0.7, -0.2], [-0.2, 1.1]])
+    model = rank1_model(1.0, 2.0, 2.0, h_a=h_a, h_b=h_b)
+    space = FockSpace(8, modes=2)
+    rho = random_state(space.dim, 5)
+    dt = 0.05
+    for protocol in (
+        build_rank1_protocol(model),
+        LoccProtocol(model.layout, (), build_rank1_protocol(model).local_hamiltonian),
+    ):
+        expected = rho
+        for ch in protocol.channels:
+            expected, _ = kraus_average_step(space, expected, ch, dt)
+        h = protocol.local_hamiltonian
+        gen = build_fock_generator(space, h, np.zeros_like(h))
+        u = expm(-1j * gen.hamiltonian.toarray() * dt)
+        expected = u @ expected @ u.conj().T
+        stepped, _ = protocol_kraus_step(space, rho, protocol, dt)
+        assert np.abs(stepped - expected).max() < 1e-13
+
+
+def test_generic_direction_keeps_one_lindblad_per_noise_direction():
+    """Roundoff-sized eigenvalues of the noise form do not become operators."""
+    model = SystemModel(
+        layout=ModeLayout(1, 1),
+        h_a=np.eye(2),
+        h_b=np.eye(2),
+        coupling=Rank1Coupling(1.0, np.array([0.6, 0.8]), np.array([0.28, 0.96])),
+        noise=ScalarWhiteNoise(s_a=2.0, s_b=2.0),
+    )
+    q = noise_form(model)
+    fgen = fock_generator_from_model(model, cutoff=4)
+    assert len(fgen.lindblads) == np.linalg.matrix_rank(q) == 2
 
 
 def test_dense_log_negativity_matches_gaussian():

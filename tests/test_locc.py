@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from gausep.dynamics import evolve
 from gausep.generators import (
@@ -23,6 +24,7 @@ from gausep.locc import (
     effective_generator,
     ohmic_d_coefficients,
     protocol_from_dict,
+    protocol_step,
     protocol_to_dict,
     run_protocol,
     solve_correlated,
@@ -30,7 +32,7 @@ from gausep.locc import (
     synthesize_general,
 )
 from gausep.separability import BoundKind, threshold
-from gausep.symplectic import CovarianceMatrix, ModeLayout, is_physical
+from gausep.symplectic import CovarianceMatrix, ModeLayout, build_form, is_physical
 
 
 def rank1_model(k, s_a, s_b, s_ab=0.0, h_a=None, h_b=None):
@@ -186,6 +188,40 @@ def test_protocol_trotter_converges_at_first_order():
         for n in (100, 200)
     ]
     assert 1.7 < errs[0] / errs[1] < 2.3
+
+
+def channel_by_channel(v, protocol, t, steps):
+    """Every step as each channel's own map, then the local unitary."""
+    dt = t / steps
+    s_loc = expm(build_form(protocol.layout) @ protocol.local_hamiltonian * dt)
+    for _ in range(steps):
+        for ch in protocol.channels:
+            v = channel_step(v, ch, dt, protocol.layout)
+        v = CovarianceMatrix(s_loc @ v.matrix @ s_loc.T, protocol.layout)
+    return v
+
+
+def test_composed_step_matches_channel_by_channel_application():
+    rng = np.random.default_rng(11)
+    correlated = SystemModel(
+        layout=ModeLayout(1, 1),
+        h_a=np.array([[1.0, 0.2], [0.2, 0.6]]),
+        h_b=np.eye(2),
+        coupling=Rank1Coupling(0.8, np.array([0.6, 0.8]), np.array([0.28, 0.96])),
+        noise=ScalarWhiteNoise(s_a=2.0, s_b=1.5, s_ab=0.4),
+    )
+    protocols = [
+        build_rank1_protocol(correlated),
+        synthesize_general(general_model(rng, 2, 2, sigma_scale=0.7)),
+    ]
+    assert protocols[0].channels[0].kappa != 0.0  # record-sharing kicks on both sides
+    for protocol in protocols:
+        v0 = CovarianceMatrix.vacuum(protocol.layout)
+        for t, steps in ((0.05, 1), (0.1, 100), (0.3, 7)):
+            expected = channel_by_channel(v0, protocol, t, steps).matrix
+            assert np.abs(run_protocol(v0, protocol, t, steps).matrix - expected).max() < 1e-13
+        one = protocol_step(v0, protocol, 0.05).matrix
+        assert np.abs(one - channel_by_channel(v0, protocol, 0.05, 1).matrix).max() < 1e-13
 
 
 def test_synthesize_general_matches_target():
