@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import itertools
 import json
@@ -549,6 +550,14 @@ def cmd_sweep(args) -> int:
 # -- entry point ---------------------------------------------------------------
 
 
+def _finite(text: str) -> float:
+    # the sign of a time is checked by its command, which knows its domain
+    value = float(text)
+    if not np.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
+    return value
+
+
 def _tolerance(text: str) -> float:
     value = float(text)
     if not (np.isfinite(value) and value >= 0.0):
@@ -570,28 +579,24 @@ def build_parser() -> argparse.ArgumentParser:
     p_thresh = sub.add_parser("threshold", help="closed-form separability bounds")
     p_thresh.add_argument("--config", required=True)
     p_thresh.add_argument("--tol", type=_tolerance, default=MARGIN_TOL)
-    p_thresh.set_defaults(func=cmd_threshold)
 
     p_evolve = sub.add_parser("evolve", help="covariance time series as CSV")
     p_evolve.add_argument("--config", required=True)
-    p_evolve.add_argument("--t", type=float, required=True)
+    p_evolve.add_argument("--t", type=_finite, required=True)
     p_evolve.add_argument("--steps", type=int, default=100)
     p_evolve.add_argument("--out", default=None)
-    p_evolve.set_defaults(func=cmd_evolve)
 
     p_locc = sub.add_parser("locc-verify", help="synthesize and check a protocol")
     p_locc.add_argument("--config", required=True)
-    p_locc.add_argument("--t", type=float, default=0.1)
-    p_locc.add_argument("--dt", type=float, default=1e-3)
+    p_locc.add_argument("--t", type=_finite, default=0.1)
+    p_locc.add_argument("--dt", type=_finite, default=1e-3)
     p_locc.add_argument("--oracle", action="store_true")
     p_locc.add_argument("--tol", type=_tolerance, default=MARGIN_TOL)
-    p_locc.set_defaults(func=cmd_locc_verify)
 
     p_sweep = sub.add_parser("sweep", help="cartesian parameter sweep as CSV")
     p_sweep.add_argument("--config", required=True)
     p_sweep.add_argument("--out", required=True)
     p_sweep.add_argument("--jobs", type=int, default=1)
-    p_sweep.set_defaults(func=cmd_sweep)
     return parser
 
 
@@ -606,12 +611,19 @@ def _configure_logging() -> None:
     )
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and reused; it never changes."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
     _configure_logging()
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
+    # looked up per call, so a rebound ``cmd_*`` (a tracing wrapper) is what runs
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return command(args)
     except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

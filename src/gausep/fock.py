@@ -9,7 +9,11 @@ path with the Gaussian one.
   forms into sparse Hermitian matrices: Hamiltonian and quadrature Lindblads;
 * :func:`lindblad_integrate` propagates a dense density matrix by a Taylor
   series of the master equation that is exact to double precision (no fixed
-  step), guarding the truncation by the population of the highest level;
+  step), guarding the truncation by the population of the highest level.
+  The right-hand side, :func:`lindblad_rhs`, uses that every Taylor term of
+  a Hermitian state is Hermitian, so it needs one sparse product with the
+  non-Hermitian part of the generator and two per Lindblad; the products
+  accumulate into ``d x d`` buffers allocated once per integration;
 * :func:`kraus_average_step` applies one measurement and feed-forward channel
   as an explicit record average, done in the eigenbasis of the measured and
   fed quadratures where every Kraus factor is diagonal, so the average is an
@@ -35,6 +39,7 @@ import numpy as np
 import scipy.sparse as sp
 from numpy.polynomial.hermite import hermgauss
 from scipy.linalg import expm
+from scipy.sparse import _sparsetools
 from scipy.sparse.linalg import norm as sparse_norm
 
 from .generators import SystemModel, hamiltonian_form, noise_form
@@ -99,7 +104,8 @@ class FockGenerator:
     ``-iH - (1/2) sum_k q_k L_k^2``.  As ``||A X||_s <= ||A||_1 ||X||_s`` and
     ``||X A||_s <= ||A||_inf ||X||_s`` in the entrywise 1-norm ``||.||_s``,
     ``norm_bound = 2 ||half||_1 + sum_k q_k ||L_k||_1 ||L_k||_inf`` bounds
-    the right-hand side in that norm.
+    the right-hand side in that norm.  ``split_lindblads`` holds each
+    ``sqrt(q_k/2) L_k``, the factor :func:`lindblad_rhs` applies twice.
     """
 
     space: FockSpace
@@ -107,6 +113,7 @@ class FockGenerator:
     lindblads: tuple[tuple[float, sp.csr_array], ...]
     half_generator: sp.csr_array
     norm_bound: float
+    split_lindblads: tuple[sp.csr_array, ...]
 
 
 def _quadratic_operator(quads: list[sp.csr_array], form: np.ndarray) -> sp.csr_array:
@@ -151,8 +158,11 @@ def build_fock_generator(
         hamiltonian=h,
         lindblads=tuple(lindblads),
         half_generator=half,
-        norm_bound=2.0 * sparse_norm(half, 1)
-        + sum(r * sparse_norm(op, 1) * sparse_norm(op, np.inf) for r, op in lindblads),
+        norm_bound=float(
+            2.0 * sparse_norm(half, 1)
+            + sum(r * sparse_norm(op, 1) * sparse_norm(op, np.inf) for r, op in lindblads)
+        ),
+        split_lindblads=tuple(math.sqrt(0.5 * r) * op for r, op in lindblads),
     )
 
 
@@ -163,18 +173,56 @@ def fock_generator_from_model(model: SystemModel, cutoff: int) -> FockGenerator:
     return build_fock_generator(space, hamiltonian_form(model), noise_form(model))
 
 
-def lindblad_rhs(gen: FockGenerator, rho: np.ndarray) -> np.ndarray:
-    """Master-equation right-hand side with Hermitian quadrature Lindblads."""
-    # only sparse-times-dense products: X A is applied as (A^dagger X^dagger)^dagger
-    rho_h = np.conj(rho.T, order="C")
-    half = gen.half_generator
-    out = half @ rho
-    right = half @ rho_h
-    out += np.conj(right, out=right).T
-    for rate, op in gen.lindblads:
-        np.conj((op @ rho_h).T, out=right)
-        right *= rate
-        out += op @ right
+def _matmul_add(a: sp.csr_array, x: np.ndarray, out: np.ndarray) -> None:
+    """``out += a @ x`` in place, for C-contiguous complex ``x`` and ``out``.
+
+    This is the kernel behind ``csr_array @ ndarray`` without the freshly
+    zeroed output array that operator allocates on every call.
+    """
+    if not (x.flags.c_contiguous and out.flags.c_contiguous):
+        raise ValueError("operands must be C-contiguous")
+    if not (a.dtype == x.dtype == out.dtype == np.complex128):
+        raise ValueError("operands must be complex128")
+    rows, cols = a.shape
+    if x.ndim != 2 or x.shape[0] != cols or out.shape != (rows, x.shape[1]):
+        raise ValueError("operand shapes do not match")
+    _sparsetools.csr_matvecs(
+        rows, cols, x.shape[1], a.indptr, a.indices, a.data, x.ravel(), out.ravel()
+    )
+
+
+def lindblad_rhs(
+    gen: FockGenerator,
+    rho: np.ndarray,
+    out: np.ndarray | None = None,
+    work: np.ndarray | None = None,
+) -> np.ndarray:
+    """Master-equation right-hand side on a Hermitian ``rho``.
+
+    For Hermitian ``rho`` and Hermitian Lindblads ``L_k``,
+    ``L(rho) = X + X^dagger`` with
+    ``X = half rho + sum_k (q_k/2) L_k (L_k rho)^dagger``, so one product
+    with ``half`` and two per Lindblad, all sparse times dense, give the
+    exactly Hermitian result.  The domain is Hermitian matrices only: for
+    any other ``rho`` the result is not ``L(rho)``.
+
+    ``out`` (``d x d``) and ``work`` (``2 x d x d``), complex and C-contiguous,
+    are optional preallocated buffers; ``out`` is overwritten and returned,
+    and neither may overlap ``rho``.
+    """
+    rho = np.ascontiguousarray(rho, dtype=complex)
+    if out is None:
+        out = np.empty_like(rho)
+    if work is None:
+        work = np.empty((2, *rho.shape), dtype=complex)
+    product, adjoint = work
+    out.fill(0.0)
+    _matmul_add(gen.half_generator, rho, out)
+    for op in gen.split_lindblads:
+        product.fill(0.0)
+        _matmul_add(op, rho, product)
+        _matmul_add(op, np.conj(product.T, out=adjoint), out)
+    out += np.conj(out.T, out=adjoint)
     return out
 
 
@@ -193,11 +241,14 @@ def lindblad_integrate(
     the first neglected term ``(x/s)^(m+1) / (m+1)!``, ``x = t norm_bound``,
     is at most ``2^-54`` (Al-Mohy and Higham, SIAM J. Sci. Comput. 33, 488
     (2011), with this bound for their norm estimate); the whole tail is under
-    1.25 times that term up to degree 55.  Each substep hermitizes the state;
-    the final truncation leakage must stay below the limit.
+    1.25 times that term up to degree 55.  The state is hermitized once on
+    entry, after which every Taylor term, and so the result, is exactly
+    Hermitian; the final truncation leakage must stay below the limit.  The
+    state, two Taylor terms and the right-hand side's work space are the only
+    ``d x d`` arrays allocated, once per call.
     """
-    if t < 0:
-        raise ValueError("t must be nonnegative")
+    if not (math.isfinite(t) and t >= 0):
+        raise ValueError(f"t must be finite and nonnegative, got {t}")
     if t == 0:
         return rho0.copy()
 
@@ -205,16 +256,24 @@ def lindblad_integrate(
         theta = math.exp((math.lgamma(m + 2) - 54.0 * math.log(2.0)) / (m + 1))
         return max(1, math.ceil(t * gen.norm_bound / theta))
 
-    degree = min(range(1, 56), key=lambda m: m * substeps(m))
+    try:
+        degree = min(range(1, 56), key=lambda m: m * substeps(m))
+    except OverflowError:
+        raise ValueError(f"t = {t} needs more substeps than a float can count") from None
     steps = substeps(degree)
-    rho = rho0.astype(complex)
+    # one set of d x d buffers for the whole integration, reused by every term
+    rho = np.array(rho0, dtype=complex, order="C")
+    term, following = np.empty_like(rho), np.empty_like(rho)
+    work = np.empty((2, *rho.shape), dtype=complex)
+    rho += np.conj(rho.T, out=work[0])
+    rho *= 0.5
     for _ in range(steps):
-        term = rho
+        term[...] = rho
         for k in range(1, degree + 1):
-            term = lindblad_rhs(gen, term)
-            term *= t / (steps * k)
-            rho += term
-        rho = 0.5 * (rho + rho.conj().T)
+            lindblad_rhs(gen, term, out=following, work=work)
+            following *= t / (steps * k)
+            rho += following
+            term, following = following, term
     leak = leakage(gen.space, rho)
     if leak > leakage_limit:
         raise RuntimeError(

@@ -475,3 +475,57 @@ def test_underflowing_squared_coupling_is_unresolved(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "unresolved" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["locc-verify", "--t", "0.1", "--dt", "inf", "--oracle"],
+        ["locc-verify", "--t", "0.1", "--dt", "nan", "--oracle"],
+        ["locc-verify", "--t", "inf"],
+        ["locc-verify", "--t", "nan", "--oracle"],
+        ["evolve", "--t", "inf"],
+        ["evolve", "--t", "nan"],
+    ],
+)
+def test_non_finite_time_exits_one_without_output(tmp_path, capsys, argv):
+    cfg = write_config(tmp_path, model_config(1.0))
+    with pytest.raises(SystemExit) as exit_info:
+        main([*argv, "--config", cfg])
+    assert exit_info.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "must be finite" in captured.err
+
+
+def test_main_builds_the_parser_once(tmp_path, capsys, monkeypatch, request):
+    built = []
+    original = cli.build_parser
+
+    def counting_build():
+        built.append(None)
+        return original()
+
+    monkeypatch.setattr(cli, "build_parser", counting_build)
+    cli._parser.cache_clear()
+    request.addfinalizer(cli._parser.cache_clear)
+    cfg = write_config(tmp_path, model_config(1.0))
+    assert main(["threshold", "--config", cfg]) == 0
+    assert main(["evolve", "--config", cfg, "--t", "0.1", "--steps", "2"]) == 0
+    assert len(built) == 1
+
+
+def test_main_runs_the_command_bound_at_call_time(tmp_path, capsys, monkeypatch):
+    """A command rebound after the parser was built is the one that runs."""
+    cfg = write_config(tmp_path, model_config(1.0))
+    assert main(["threshold", "--config", cfg]) == 0
+    seen = []
+    original = cli.cmd_threshold
+
+    def wrapped(args):
+        seen.append(args.config)
+        return original(args)
+
+    monkeypatch.setattr(cli, "cmd_threshold", wrapped)
+    assert main(["threshold", "--config", cfg]) == 0
+    assert seen == [cfg]

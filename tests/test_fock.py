@@ -1,12 +1,16 @@
 """Tests for the dense truncated-space oracle."""
 
+import math
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from numpy.polynomial.hermite import hermgauss
 from scipy.linalg import expm
 
 from gausep.dynamics import evolve
 from gausep.fock import (
+    _matmul_add,
     FockSpace,
     build_fock_generator,
     extract_covariance,
@@ -343,3 +347,91 @@ def test_dense_entanglement_matches_gaussian_at_cutoff_twenty():
     dense_ln = log_negativity_dense(fgen.space, rho)
     assert dense_ln > 1e-2
     assert abs(dense_ln - log_negativity(exact_cov)) <= 1e-12
+
+
+def test_in_place_accumulate_equals_the_public_product():
+    """Pins the private scipy kernel behind ``csr_array @ ndarray``."""
+    rng = np.random.default_rng(11)
+    dense = rng.normal(size=(40, 30)) + 1j * rng.normal(size=(40, 30))
+    a = sp.csr_array(np.where(rng.random((40, 30)) < 0.2, dense, 0.0))
+    x = rng.normal(size=(30, 7)) + 1j * rng.normal(size=(30, 7))
+    out = np.zeros((40, 7), dtype=complex)
+    _matmul_add(a, x, out)
+    np.testing.assert_array_equal(out, a @ x)
+    start = rng.normal(size=(40, 7)) + 1j * rng.normal(size=(40, 7))
+    out = start.copy()
+    _matmul_add(a, x, out)
+    np.testing.assert_allclose(out, start + a @ x, rtol=0, atol=1e-14)
+    with pytest.raises(ValueError):
+        _matmul_add(a, x, np.zeros((7, 40), dtype=complex).T)
+    with pytest.raises(ValueError):
+        _matmul_add(a, x.real.copy(), np.zeros((40, 7), dtype=complex))
+    with pytest.raises(ValueError):
+        _matmul_add(a, x, np.zeros((30, 7), dtype=complex))
+
+
+def six_product_rhs(fgen, rho):
+    """Right-hand side on any ``rho``: ``half rho + rho half^dagger + sum r L rho L``."""
+    rho_h = rho.conj().T
+    half = fgen.half_generator
+    out = half @ rho + (half @ rho_h).conj().T
+    for rate, op in fgen.lindblads:
+        out += rate * (op @ (op @ rho_h).conj().T)
+    return out
+
+
+def reference_integrate(fgen, rho, t, degree=30):
+    """Taylor series of ``six_product_rhs`` on substeps of norm at most one."""
+    steps = max(1, math.ceil(t * fgen.norm_bound))
+    rho = rho.astype(complex)
+    for _ in range(steps):
+        term = rho
+        for k in range(1, degree + 1):
+            term = six_product_rhs(fgen, term) * (t / (steps * k))
+            rho = rho + term
+        rho = 0.5 * (rho + rho.conj().T)
+    return rho
+
+
+def test_integrator_matches_the_six_product_reference():
+    fgen = fock_generator_from_model(correlated_model(), cutoff=8)
+    rho0 = random_state(fgen.space.dim, 8)
+    for t in (0.01, 0.3):
+        rho = lindblad_integrate(fgen, rho0, t, leakage_limit=1.0)
+        assert np.abs(rho - reference_integrate(fgen, rho0, t)).max() <= 1e-14
+
+
+def test_rhs_buffers_are_filled_and_returned():
+    fgen = fock_generator_from_model(correlated_model(), cutoff=6)
+    rho = random_state(fgen.space.dim, 4)
+    rho = 0.5 * (rho + rho.conj().T)
+    out = np.full_like(rho, np.nan)
+    work = np.full((2, *rho.shape), np.nan, dtype=complex)
+    assert lindblad_rhs(fgen, rho, out=out, work=work) is out
+    np.testing.assert_array_equal(out, lindblad_rhs(fgen, rho))
+    np.testing.assert_array_equal(out, out.conj().T)
+    np.testing.assert_allclose(out, six_product_rhs(fgen, rho), rtol=0, atol=1e-14)
+
+
+def test_integrated_state_is_exactly_hermitian_and_the_input_is_kept():
+    fgen = fock_generator_from_model(correlated_model(), cutoff=8)
+    rng = np.random.default_rng(5)
+    rho0 = random_state(fgen.space.dim, 9)
+    rho0 = rho0 + 1e-12 * rng.normal(size=rho0.shape)  # not quite Hermitian
+    kept = rho0.copy()
+    rho = lindblad_integrate(fgen, rho0, 0.2, leakage_limit=1.0)
+    np.testing.assert_array_equal(rho0, kept)
+    np.testing.assert_array_equal(rho, rho.conj().T)
+
+
+@pytest.mark.parametrize("t", [float("nan"), float("inf"), -float("inf"), -0.1])
+def test_integrator_rejects_a_non_finite_or_negative_time(t):
+    fgen = fock_generator_from_model(correlated_model(), cutoff=4)
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        lindblad_integrate(fgen, fgen.space.vacuum(), t)
+
+
+def test_integrator_rejects_a_time_whose_substep_count_overflows():
+    fgen = fock_generator_from_model(correlated_model(), cutoff=4)
+    with pytest.raises(ValueError, match="substeps"):
+        lindblad_integrate(fgen, fgen.space.vacuum(), 1e300)
