@@ -26,7 +26,12 @@ from jsonschema.exceptions import best_match
 from jsonschema.validators import validator_for
 
 from .dynamics import evolve, shape_functions, transition_blocks
-from .fock import fock_generator_from_model, lindblad_integrate, protocol_kraus_step
+from .fock import (
+    _taylor_schedule,
+    fock_generator_from_model,
+    lindblad_integrate,
+    protocol_kraus_step,
+)
 from .generators import build_generator, model_from_dict
 from .locc import (
     InfeasibleProtocolError,
@@ -329,9 +334,13 @@ def cmd_locc_verify(args) -> int:
     model = _model_from_config(data)
     if args.t <= 0 or args.dt <= 0:
         raise ConfigError("--t and --dt must be positive")
-    # the oracle is built first, so an unsupported layout fails before any output
+    # the oracle is built and its step scheduled first, so an unsupported
+    # layout or a step over the work cap fails before any output
     cutoff = int(data.get("oracle_cutoff", 12))
-    fgen = fock_generator_from_model(model, cutoff) if args.oracle else None
+    fgen = None
+    if args.oracle:
+        fgen = fock_generator_from_model(model, cutoff)
+        _taylor_schedule(fgen, args.dt)
     target = build_generator(model)
     try:
         if model.is_rank1:

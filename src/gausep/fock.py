@@ -10,6 +10,11 @@ path with the Gaussian one.
 * :func:`lindblad_integrate` propagates a dense density matrix by a Taylor
   series of the master equation that is exact to double precision (no fixed
   step), guarding the truncation by the population of the highest level.
+  A rigorous norm bound fixes the largest degree and the substeps before any
+  work, and a call needing more than ``MAX_TAYLOR_PRODUCTS`` terms is
+  refused; each substep stops at the first term after which a rigorous
+  tail bound is below ``TAYLOR_TOL`` times the trace of the state, so the
+  work follows the occupied levels rather than the cutoff.
   The right-hand side, :func:`lindblad_rhs`, uses that every Taylor term of
   a Hermitian state is Hermitian, so it needs one sparse product with the
   non-Hermitian part of the generator and two per Lindblad; the products
@@ -47,6 +52,9 @@ from .locc import LoccProtocol, Rank1Channel
 from .symplectic import CovarianceMatrix, ModeLayout
 
 LEAKAGE_LIMIT = 1e-6
+TAYLOR_TOL = 2.0**-54
+# about ten seconds of right-hand sides at cutoff 12, minutes at cutoff 24
+MAX_TAYLOR_PRODUCTS = 10_000
 QUADRATURE_ORDERS = (20, 40, 60)
 
 _hermgauss = functools.cache(hermgauss)  # nodes and weights depend on the order only
@@ -232,48 +240,80 @@ def leakage(space: FockSpace, rho: np.ndarray) -> float:
     return float(max(np.take(grid, -1, axis=ax).sum() for ax in range(space.modes)))
 
 
+def _taylor_schedule(gen: FockGenerator, t: float) -> tuple[int, int]:
+    """A-priori ``(degree, substeps)`` of :func:`lindblad_integrate` to time ``t``.
+
+    ``s`` substeps of degree ``m``, with the fewest products ``s m`` such that
+    the first neglected term ``(x/s)^(m+1) / (m+1)!``, ``x = t norm_bound``,
+    is at most ``TAYLOR_TOL`` (Al-Mohy and Higham, SIAM J. Sci. Comput. 33,
+    488 (2011), with this bound for their norm estimate); the whole tail is
+    under 1.25 times that term up to degree 55.  A time needing more than
+    ``MAX_TAYLOR_PRODUCTS`` products is refused before any work.
+    """
+    if not (math.isfinite(t) and t >= 0):
+        raise ValueError(f"t must be finite and nonnegative, got {t}")
+
+    def substeps(m: int) -> int:
+        theta = math.exp((math.lgamma(m + 2) + math.log(TAYLOR_TOL)) / (m + 1))
+        return max(1, math.ceil(t * gen.norm_bound / theta))
+
+    try:
+        degree = min(range(1, 56), key=lambda m: m * substeps(m))
+        steps = substeps(degree)
+    except OverflowError:  # the substep count is not even a finite float
+        degree = steps = None
+    if steps is None or degree * steps > MAX_TAYLOR_PRODUCTS:
+        raise ValueError(
+            f"t = {t} needs more Taylor products (degree x substeps) than the "
+            f"cap of {MAX_TAYLOR_PRODUCTS} at this cutoff"
+        )
+    return degree, steps
+
+
 def lindblad_integrate(
     gen: FockGenerator, rho0: np.ndarray, t: float, leakage_limit: float = LEAKAGE_LIMIT
 ) -> np.ndarray:
     """Apply ``exp(t L)`` to ``rho0`` as a Taylor series, exact to double precision.
 
-    ``s`` substeps of degree ``m``, with the fewest products ``s m`` such that
-    the first neglected term ``(x/s)^(m+1) / (m+1)!``, ``x = t norm_bound``,
-    is at most ``2^-54`` (Al-Mohy and Higham, SIAM J. Sci. Comput. 33, 488
-    (2011), with this bound for their norm estimate); the whole tail is under
-    1.25 times that term up to degree 55.  The state is hermitized once on
-    entry, after which every Taylor term, and so the result, is exactly
-    Hermitian; the final truncation leakage must stay below the limit.  The
-    state, two Taylor terms and the right-hand side's work space are the only
-    ``d x d`` arrays allocated, once per call.
+    The a-priori schedule of :func:`_taylor_schedule` (``s`` substeps of
+    degree ``m``, at most ``MAX_TAYLOR_PRODUCTS`` products) caps the work.
+    Each substep stops early once a rigorous bound shows the rest of its
+    series is negligible: as ``||L(T)||_s <= norm_bound ||T||_s``, once the
+    scaled term ``T_k`` is computed and ``k + 1 > x``, ``x = t norm_bound /
+    s``, everything after it is at most ``||T_k||_s x / (k + 1 - x)``, and the
+    substep stops when that is at most ``TAYLOR_TOL`` times the reference
+    ``tr rho``.  Every term after the first is traceless, so the trace is a
+    lower bound of ``||rho||_s`` for the whole substep; with a nonpositive
+    trace only an exactly zero term, after which all are zero, stops early.
+    The state is hermitized once on entry, after which every Taylor term, and
+    so the result, is exactly Hermitian; the final truncation leakage must
+    stay below the limit.  The state, two Taylor terms, the right-hand side's
+    work space and one real buffer for ``|T_k|`` are the only ``d x d`` arrays
+    allocated, once per call.
     """
-    if not (math.isfinite(t) and t >= 0):
-        raise ValueError(f"t must be finite and nonnegative, got {t}")
+    degree, steps = _taylor_schedule(gen, t)
     if t == 0:
         return rho0.copy()
-
-    def substeps(m: int) -> int:
-        theta = math.exp((math.lgamma(m + 2) - 54.0 * math.log(2.0)) / (m + 1))
-        return max(1, math.ceil(t * gen.norm_bound / theta))
-
-    try:
-        degree = min(range(1, 56), key=lambda m: m * substeps(m))
-    except OverflowError:
-        raise ValueError(f"t = {t} needs more substeps than a float can count") from None
-    steps = substeps(degree)
+    x = t * gen.norm_bound / steps
     # one set of d x d buffers for the whole integration, reused by every term
     rho = np.array(rho0, dtype=complex, order="C")
     term, following = np.empty_like(rho), np.empty_like(rho)
     work = np.empty((2, *rho.shape), dtype=complex)
+    magnitude = np.empty(rho.shape)
     rho += np.conj(rho.T, out=work[0])
     rho *= 0.5
     for _ in range(steps):
+        floor = TAYLOR_TOL * float(np.trace(rho).real)
         term[...] = rho
         for k in range(1, degree + 1):
             lindblad_rhs(gen, term, out=following, work=work)
             following *= t / (steps * k)
             rho += following
             term, following = following, term
+            # the bound holds only for k + 1 > x; before that, skip the norm pass
+            if k + 1 > x:
+                if np.abs(term, out=magnitude).sum() * x <= floor * (k + 1 - x):
+                    break
     leak = leakage(gen.space, rho)
     if leak > leakage_limit:
         raise RuntimeError(

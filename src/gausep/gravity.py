@@ -277,31 +277,3 @@ def to_model(
         noise_b_dimensionless=float(s_b),
     )
     return model, record
-
-
-# -- serialization -------------------------------------------------------------
-
-_SCENARIO_KINDS = {
-    "two_mass": TwoMassScenario,
-    "mediator": MediatorScenario,
-    "sphere_mediator": SphereMediatorScenario,
-}
-
-
-def scenario_to_dict(scenario) -> dict:
-    for kind, cls in _SCENARIO_KINDS.items():
-        if isinstance(scenario, cls):
-            out = {"kind": kind}
-            out.update(
-                {k: v for k, v in scenario.__dict__.items() if v is not None}
-            )
-            return out
-    raise TypeError(f"unknown scenario type {type(scenario).__name__}")
-
-
-def scenario_from_dict(d: dict) -> object:
-    kind = d.get("kind")
-    if kind not in _SCENARIO_KINDS:
-        raise ValueError(f"unknown scenario kind {kind!r}")
-    args = {k: v for k, v in d.items() if k != "kind"}
-    return _SCENARIO_KINDS[kind](**args)

@@ -523,46 +523,3 @@ def damped_bound(model: SystemModel, coeffs: MemoryCoefficients, tol: float = MA
     noise = resolved_product(eff_a, eff_b)
     coupled = resolved_product(inflated, inflated)
     return bound_verdict(noise - coupled, max(noise, coupled), BoundKind.DAMPED, tol)
-
-
-# -- serialization -------------------------------------------------------------
-
-
-def protocol_to_dict(protocol: LoccProtocol) -> dict:
-    return {
-        "layout": {"n_a": protocol.layout.n_a, "n_b": protocol.layout.n_b},
-        "local_hamiltonian": protocol.local_hamiltonian.tolist(),
-        "channels": [
-            {
-                "side": ch.side,
-                "gamma": ch.gamma,
-                "vec": ch.vec.tolist(),
-                "lam": ch.lam,
-                "feed_vec": None if ch.feed_vec is None else ch.feed_vec.tolist(),
-                "kappa": ch.kappa,
-            }
-            for ch in protocol.channels
-        ],
-    }
-
-
-def protocol_from_dict(d: dict) -> LoccProtocol:
-    layout = ModeLayout(int(d["layout"]["n_a"]), int(d["layout"]["n_b"]))
-    channels = tuple(
-        Rank1Channel(
-            side=c["side"],
-            gamma=float(c["gamma"]),
-            vec=np.asarray(c["vec"], dtype=float),
-            lam=float(c["lam"]),
-            feed_vec=None
-            if c["feed_vec"] is None
-            else np.asarray(c["feed_vec"], dtype=float),
-            kappa=float(c["kappa"]),
-        )
-        for c in d["channels"]
-    )
-    return LoccProtocol(
-        layout=layout,
-        channels=channels,
-        local_hamiltonian=np.asarray(d["local_hamiltonian"], dtype=float),
-    )

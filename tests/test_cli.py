@@ -2,12 +2,13 @@
 
 import csv
 import json
+from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
 
-from gausep import cli
+from gausep import cli, fock
 from gausep.cli import main
 from gausep.dynamics import evolve
 from gausep.generators import build_generator, model_from_dict
@@ -466,6 +467,22 @@ def test_locc_verify_rejects_a_bad_step_before_any_output(tmp_path, capsys, step
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "must be positive" in captured.err
+
+
+@pytest.mark.parametrize("dt", ["1e10", "1e300"])
+def test_oracle_step_over_the_work_cap_exits_one_before_any_work(
+    capsys, monkeypatch, dt
+):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the oracle started integrating")
+
+    monkeypatch.setattr(fock, "lindblad_rhs", no_work)
+    cfg = str(Path(__file__).parents[1] / "configs" / "locc_harmonic.json")
+    argv = ["locc-verify", "--config", cfg, "--t", "0.1", "--dt", dt, "--oracle"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Taylor products" in captured.err
 
 
 def test_underflowing_squared_coupling_is_unresolved(tmp_path, capsys):

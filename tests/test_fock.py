@@ -8,9 +8,11 @@ import scipy.sparse as sp
 from numpy.polynomial.hermite import hermgauss
 from scipy.linalg import expm
 
+from gausep import fock
 from gausep.dynamics import evolve
 from gausep.fock import (
     _matmul_add,
+    _taylor_schedule,
     FockSpace,
     build_fock_generator,
     extract_covariance,
@@ -399,6 +401,65 @@ def test_integrator_matches_the_six_product_reference():
     for t in (0.01, 0.3):
         rho = lindblad_integrate(fgen, rho0, t, leakage_limit=1.0)
         assert np.abs(rho - reference_integrate(fgen, rho0, t)).max() <= 1e-14
+
+
+def high_occupation_state(cutoff, seed):
+    """Random state whose populations grow towards the highest retained level."""
+    n = np.arange(cutoff)
+    weight = np.sqrt(1.0 + np.add.outer(n, n).ravel()) ** 3
+    rho = random_state(cutoff**2, seed) * np.outer(weight, weight)
+    return rho / np.trace(rho)
+
+
+@pytest.mark.parametrize("t", [0.01, 0.05, 0.3])
+def test_high_occupation_state_matches_the_full_degree_reference(t):
+    fgen = fock_generator_from_model(correlated_model(), cutoff=8)
+    rho0 = high_occupation_state(8, 12)
+    reference = reference_integrate(fgen, rho0, t)
+    rho = lindblad_integrate(fgen, rho0, t, leakage_limit=1.0)
+    assert np.abs(rho - reference).max() <= 1e-15 * np.abs(reference).max()
+
+
+def tail_bound_stop(fgen, rho, t):
+    """First term of a one-substep series after which the tail is negligible.
+
+    With ``x = t norm_bound`` and ``k + 1 > x``, every term after ``T_k`` is
+    bounded by ``||T_k||_s x / (k + 1 - x)`` in the entrywise 1-norm; the
+    series may stop once that is at most ``2^-54 tr rho``.
+    """
+    degree, steps = _taylor_schedule(fgen, t)
+    assert steps == 1
+    x = t * fgen.norm_bound
+    floor = 2.0**-54 * np.trace(rho).real
+    term = rho
+    for k in range(1, degree + 1):
+        term = six_product_rhs(fgen, term) * (t / k)
+        if k + 1 > x and np.abs(term).sum() * x / (k + 1 - x) <= floor:
+            return k
+    return degree
+
+
+def test_a_vacuum_chunk_stops_at_the_tail_bound_whatever_the_cutoff(monkeypatch):
+    """Terms decay with the occupied levels, not with the cutoff."""
+    model = rank1_model(0.9, 0.8, 0.95, h_a=0.5 * np.eye(2), h_b=0.5 * np.eye(2))
+    calls = []
+    rhs = fock.lindblad_rhs
+
+    def counting_rhs(*args, **kwargs):
+        calls.append(None)
+        return rhs(*args, **kwargs)
+
+    monkeypatch.setattr(fock, "lindblad_rhs", counting_rhs)
+    used = {}
+    for cutoff in (12, 16, 24):
+        fgen = fock_generator_from_model(model, cutoff)
+        vacuum = fgen.space.vacuum()
+        calls.clear()
+        lindblad_integrate(fgen, vacuum, 0.01)
+        used[cutoff] = len(calls)
+        assert used[cutoff] == tail_bound_stop(fgen, vacuum, 0.01)
+        assert used[cutoff] < _taylor_schedule(fgen, 0.01)[0]
+    assert len(set(used.values())) == 1
 
 
 def test_rhs_buffers_are_filled_and_returned():

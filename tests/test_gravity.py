@@ -12,8 +12,6 @@ from gausep.gravity import (
     TwoMassScenario,
     coupling_constant,
     mediator_threshold,
-    scenario_from_dict,
-    scenario_to_dict,
     to_model,
     two_mass_threshold,
 )
@@ -154,16 +152,6 @@ def test_to_model_with_direct_coupling_widens_side_b():
     assert (model.layout.n_a, model.layout.n_b) == (1, 2)
     alpha = (4.0 / 2.0) * (0.1 / 0.2) ** 3
     np.testing.assert_allclose(model.coupling.vec_b, [1.0, 0.0, alpha, 0.0])
-
-
-def test_scenario_roundtrip():
-    for scenario in (
-        dense_two_mass(),
-        MediatorScenario(1.0, 2.0, 0.1, 1e-9, 1e-9, 1e-3, 4.0, 0.2),
-        SphereMediatorScenario(1e-3, 10.0, 11340.0, 1e-8, 1e-8, 1e-3),
-    ):
-        back = scenario_from_dict(scenario_to_dict(scenario))
-        assert back == scenario
 
 
 def test_scenario_validation():

@@ -23,9 +23,7 @@ from gausep.locc import (
     damped_bound,
     effective_generator,
     ohmic_d_coefficients,
-    protocol_from_dict,
     protocol_step,
-    protocol_to_dict,
     run_protocol,
     solve_correlated,
     solve_symmetric,
@@ -255,19 +253,6 @@ def test_synthesize_general_range_condition():
     )
     with pytest.raises(InfeasibleProtocolError):
         synthesize_general(model)
-
-
-def test_protocol_roundtrip():
-    model = rank1_model(1.0, 2.0, 3.0, s_ab=0.5)
-    protocol = build_rank1_protocol(model)
-    back = protocol_from_dict(protocol_to_dict(protocol))
-    assert len(back.channels) == len(protocol.channels)
-    np.testing.assert_array_equal(back.local_hamiltonian, protocol.local_hamiltonian)
-    for ours, theirs in zip(protocol.channels, back.channels):
-        assert ours.side == theirs.side
-        np.testing.assert_array_equal(ours.vec, theirs.vec)
-        assert ours.gamma == theirs.gamma
-        assert ours.kappa == theirs.kappa
 
 
 def test_ohmic_coefficients_vanish_for_a_free_mass():
