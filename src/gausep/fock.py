@@ -15,10 +15,16 @@ path with the Gaussian one.
   refused; each substep stops at the first term after which a rigorous
   tail bound is below ``TAYLOR_TOL`` times the trace of the state, so the
   work follows the occupied levels rather than the cutoff.
+  The Hamiltonian is quadratic and every Lindblad operator linear in the
+  quadratures, so the generator keeps the grade ``(parity(m) + parity(n))
+  mod 2`` of every entry ``rho_mn`` (parities of the total number): the
+  state is evolved as its even-even and odd-odd blocks (grade 0) and its
+  even-odd and odd-even blocks (grade 1), and a grade that is zero on entry,
+  as grade 1 is from the vacuum, is never touched.
   The right-hand side, :func:`lindblad_rhs`, uses that every Taylor term of
   a Hermitian state is Hermitian, so it needs one sparse product with the
-  non-Hermitian part of the generator and two per Lindblad; the products
-  accumulate into ``d x d`` buffers allocated once per integration;
+  non-Hermitian part of the generator and two per Lindblad, block by block;
+  the products accumulate into buffers allocated once per integration;
 * :func:`kraus_average_step` applies one measurement and feed-forward channel
   as an explicit record average, done in the eigenbasis of the measured and
   fed quadratures where every Kraus factor is diagonal, so the average is an
@@ -28,7 +34,8 @@ path with the Gaussian one.
   contracted by a single matrix product, and every basis change (and the
   local unitary of :func:`protocol_kraus_step`) acts mode by mode;
 * :func:`log_negativity_dense` evaluates entanglement from the partial
-  transpose of the dense state.
+  transpose of the dense state, which keeps the grade of every entry, so
+  for a grade-0 state it diagonalizes the even and odd blocks apart.
 
 The truncation is the only systematic error source, so cutoffs should be
 chosen with the leakage report rather than by eye.
@@ -88,15 +95,34 @@ class FockSpace:
         a = self.destroy()
         return 1j * (a.T - a) / np.sqrt(2.0)
 
-    def quadratures(self) -> list[sp.csr_array]:
-        """Sparse (x_a, p_a[, x_b, p_b]) in the interleaved ordering."""
+    def quadratures(self) -> tuple[sp.csr_array, ...]:
+        """Sparse (x_a, p_a[, x_b, p_b]) in the interleaved ordering, built once."""
+        return self._quadratures
+
+    @functools.cached_property
+    def _quadratures(self) -> tuple[sp.csr_array, ...]:
         x = sp.csr_array(self.position().astype(complex))
         p = sp.csr_array(self.momentum())
         if self.modes == 1:
-            return [x, p]
+            return x, p
         eye = sp.csr_array(np.eye(self.cutoff, dtype=complex))
         pairs = ((x, eye), (p, eye), (eye, x), (eye, p))
-        return [sp.kron(left, right, format="csr") for left, right in pairs]
+        return tuple(sp.kron(left, right, format="csr") for left, right in pairs)
+
+    @functools.cached_property
+    def sectors(self) -> tuple[np.ndarray, np.ndarray]:
+        """Indices of the basis states of even and of odd total number."""
+        total = np.indices((self.cutoff,) * self.modes).sum(axis=0).ravel()
+        return np.flatnonzero(total % 2 == 0), np.flatnonzero(total % 2 == 1)
+
+    @functools.cached_property
+    def _block_indices(self) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+        """Flat ``d x d`` indices of the blocks of :func:`_split_sectors`."""
+        idx = self.sectors
+        return {
+            g: tuple(idx[j][:, None] * self.dim + idx[j ^ g] for j in (0, 1))
+            for g in (0, 1)
+        }
 
     def vacuum(self) -> np.ndarray:
         rho = np.zeros((self.dim, self.dim), dtype=complex)
@@ -112,8 +138,15 @@ class FockGenerator:
     ``-iH - (1/2) sum_k q_k L_k^2``.  As ``||A X||_s <= ||A||_1 ||X||_s`` and
     ``||X A||_s <= ||A||_inf ||X||_s`` in the entrywise 1-norm ``||.||_s``,
     ``norm_bound = 2 ||half||_1 + sum_k q_k ||L_k||_1 ||L_k||_inf`` bounds
-    the right-hand side in that norm.  ``split_lindblads`` holds each
-    ``sqrt(q_k/2) L_k``, the factor :func:`lindblad_rhs` applies twice.
+    the right-hand side in that norm.
+
+    The quadratic ``half`` keeps the parity of the total number and each
+    linear ``L_k`` flips it, so :func:`lindblad_rhs` works with blocks over
+    the even (0) and odd (1) states of :attr:`FockSpace.sectors`:
+    ``half_blocks`` holds ``half``'s diagonal blocks ``(half_0, half_1)``, and
+    ``split_lindblads`` holds, for each ``S_k = sqrt(q_k/2) L_k``, the factor
+    :func:`lindblad_rhs` applies twice, its off-diagonal blocks
+    ``(S_01, S_10)``; every other block is empty.
     """
 
     space: FockSpace
@@ -121,10 +154,13 @@ class FockGenerator:
     lindblads: tuple[tuple[float, sp.csr_array], ...]
     half_generator: sp.csr_array
     norm_bound: float
-    split_lindblads: tuple[sp.csr_array, ...]
+    half_blocks: tuple[sp.csr_array, sp.csr_array]
+    split_lindblads: tuple[tuple[sp.csr_array, sp.csr_array], ...]
 
 
-def _quadratic_operator(quads: list[sp.csr_array], form: np.ndarray) -> sp.csr_array:
+def _quadratic_operator(
+    quads: tuple[sp.csr_array, ...], form: np.ndarray
+) -> sp.csr_array:
     """Hermitian part of ``(1/2) xi^T form xi`` on the quadrature operators."""
     dim = quads[0].shape[0]
     h = sp.csr_array((dim, dim), dtype=complex)
@@ -149,7 +185,7 @@ def build_fock_generator(
         raise ValueError("form dimensions do not match the space")
     h = _quadratic_operator(quads, g_form)
     rates, vecs = np.linalg.eigh(q_form)
-    if rates[0] < -1e-10 * max(1.0, rates[-1]):
+    if rates[0] < -1e-10 * np.abs(rates).max():
         raise ValueError("noise form is not positive semidefinite")
     # rates at or below eigh's resolution are roundoff of zero, not noise
     cut = max(rates[-1], 0.0) * n * np.finfo(float).eps
@@ -161,6 +197,12 @@ def build_fock_generator(
             lindblads.append((rate, op))
             half = half - 0.5 * rate * (op @ op)
     half = half.tocsr()
+
+    def block(op: sp.csr_array, r: int, c: int) -> sp.csr_array:
+        out = op[np.ix_(space.sectors[r], space.sectors[c])]
+        out.sort_indices()  # the row sums of the full product, in the same order
+        return out
+
     return FockGenerator(
         space=space,
         hamiltonian=h,
@@ -170,14 +212,24 @@ def build_fock_generator(
             2.0 * sparse_norm(half, 1)
             + sum(r * sparse_norm(op, 1) * sparse_norm(op, np.inf) for r, op in lindblads)
         ),
-        split_lindblads=tuple(math.sqrt(0.5 * r) * op for r, op in lindblads),
+        half_blocks=(block(half, 0, 0), block(half, 1, 1)),
+        split_lindblads=tuple(
+            (block(split, 0, 1), block(split, 1, 0))
+            for split in (math.sqrt(0.5 * r) * op for r, op in lindblads)
+        ),
     )
+
+
+@functools.lru_cache(maxsize=8)
+def _shared_space(cutoff: int, modes: int) -> FockSpace:
+    """One space per shape, so its quadratures and sector indices are built once."""
+    return FockSpace(cutoff, modes)
 
 
 def fock_generator_from_model(model: SystemModel, cutoff: int) -> FockGenerator:
     if model.layout != ModeLayout(1, 1):
         raise ValueError("the dense oracle supports one mode per side")
-    space = FockSpace(cutoff, modes=2)
+    space = _shared_space(cutoff, 2)
     return build_fock_generator(space, hamiltonian_form(model), noise_form(model))
 
 
@@ -199,38 +251,117 @@ def _matmul_add(a: sp.csr_array, x: np.ndarray, out: np.ndarray) -> None:
     )
 
 
+Sectors = dict[int, tuple[np.ndarray, np.ndarray]]
+
+
+def _split_sectors(space: FockSpace, rho: np.ndarray) -> Sectors:
+    """The blocks ``{grade: (block_0, block_1)}`` of a Fock-order ``d x d`` matrix.
+
+    Block ``j`` of grade ``g`` holds the rows of total parity ``j`` and the
+    columns of parity ``j ^ g``: grade 0 is ``(rho_ee, rho_oo)`` and grade 1
+    ``(rho_eo, rho_oe)``.  Each block is a new C-contiguous complex array.
+    """
+    if np.shape(rho) != (space.dim, space.dim):
+        raise ValueError("matrix shape does not match the space")
+    return {
+        g: tuple(np.asarray(np.take(rho, i), dtype=complex) for i in pair)
+        for g, pair in space._block_indices.items()
+    }
+
+
+def _join_sectors(space: FockSpace, blocks: Sectors) -> np.ndarray:
+    """The Fock-order ``d x d`` matrix of the blocks; an absent grade is zero."""
+    rho = np.zeros(space.dim**2, dtype=complex)
+    for g, pair in blocks.items():
+        for i, block in zip(space._block_indices[g], pair):
+            rho[i] = block
+    return rho.reshape(space.dim, space.dim)
+
+
+def _sector_buffer(space: FockSpace, grades) -> tuple[np.ndarray, Sectors]:
+    """One flat complex array and the blocks of ``grades`` as views into it."""
+    n = [len(i) for i in space.sectors]
+    shapes = [(n[j], n[j ^ g]) for g in grades for j in (0, 1)]
+    sizes = [rows * cols for rows, cols in shapes]
+    flat = np.empty(sum(sizes), dtype=complex)
+    views = [v.reshape(s) for v, s in zip(np.split(flat, np.cumsum(sizes)[:-1]), shapes)]
+    return flat, {g: tuple(views[2 * i : 2 * i + 2]) for i, g in enumerate(grades)}
+
+
+def _rhs_work(space: FockSpace) -> dict[int, tuple]:
+    """Scratch of :func:`lindblad_rhs`: ``(products, swaps, adjoints)`` by grade.
+
+    Products and swaps live for one Lindblad term, so every block and grade
+    shares one pair of flat arrays; the two adjoints of a grade are live
+    together and share a third.
+    """
+    n = [len(i) for i in space.sectors]
+    product, swap = np.empty((2, max(n) ** 2), dtype=complex)
+    adjoint = np.empty(n[0] ** 2 + n[1] ** 2, dtype=complex)
+
+    def view(buf: np.ndarray, rows: int, cols: int, start: int = 0) -> np.ndarray:
+        return buf[start : start + rows * cols].reshape(rows, cols)
+
+    work = {}
+    for g in (0, 1):
+        products = tuple(view(product, n[j ^ g], n[1 - j]) for j in (0, 1))
+        swaps = tuple(view(swap, n[1 - j], n[j ^ g]) for j in (0, 1))
+        adjoints = (
+            view(adjoint, n[0], n[g]),
+            view(adjoint, n[1], n[1 - g], n[0] * n[g]),
+        )
+        work[g] = (products, swaps, adjoints)
+    return work
+
+
 def lindblad_rhs(
     gen: FockGenerator,
-    rho: np.ndarray,
-    out: np.ndarray | None = None,
-    work: np.ndarray | None = None,
-) -> np.ndarray:
-    """Master-equation right-hand side on a Hermitian ``rho``.
+    term: Sectors,
+    out: Sectors | None = None,
+    work: dict | None = None,
+) -> Sectors:
+    """Master-equation right-hand side on the parity blocks of a Hermitian matrix.
 
     For Hermitian ``rho`` and Hermitian Lindblads ``L_k``,
     ``L(rho) = X + X^dagger`` with
-    ``X = half rho + sum_k (q_k/2) L_k (L_k rho)^dagger``, so one product
-    with ``half`` and two per Lindblad, all sparse times dense, give the
-    exactly Hermitian result.  The domain is Hermitian matrices only: for
-    any other ``rho`` the result is not ``L(rho)``.
+    ``X = half rho + sum_k S_k (S_k rho)^dagger``, ``S_k = sqrt(q_k/2) L_k``,
+    so one product with ``half`` and two per Lindblad, all sparse times
+    dense, give the exactly Hermitian result.  The domain is Hermitian
+    matrices only: for any other ``rho`` the result is not ``L(rho)``.
 
-    ``out`` (``d x d``) and ``work`` (``2 x d x d``), complex and C-contiguous,
-    are optional preallocated buffers; ``out`` is overwritten and returned,
-    and neither may overlap ``rho``.
+    ``term`` maps a grade to its pair of blocks, laid out as by
+    :func:`_split_sectors`; a grade left out is zero.  ``half`` is
+    block-diagonal and each ``S_k`` off-diagonal over the even and odd
+    states, so with ``r`` and ``c`` the row and column parities of a block and
+    a bar their flip,
+    ``X_rc = half_r rho_rc + sum_k S_{r rbar} (S_{c cbar} rho_{cbar rbar})^dagger``
+    and ``L(rho)_rc = X_rc + X_cr^dagger``: each grade maps to itself, and
+    every block is one product with ``half``'s block and two per Lindblad
+    of a quarter of the ``d x d`` work.
+
+    ``out`` (blocks shaped as ``term``) and ``work`` (from
+    :func:`_rhs_work`) are optional preallocated buffers; ``out`` is
+    overwritten and returned, and neither may overlap ``term``.
     """
-    rho = np.ascontiguousarray(rho, dtype=complex)
     if out is None:
-        out = np.empty_like(rho)
+        out = {g: tuple(np.empty_like(b) for b in pair) for g, pair in term.items()}
     if work is None:
-        work = np.empty((2, *rho.shape), dtype=complex)
-    product, adjoint = work
-    out.fill(0.0)
-    _matmul_add(gen.half_generator, rho, out)
-    for op in gen.split_lindblads:
-        product.fill(0.0)
-        _matmul_add(op, rho, product)
-        _matmul_add(op, np.conj(product.T, out=adjoint), out)
-    out += np.conj(out.T, out=adjoint)
+        work = _rhs_work(gen.space)
+    for grade, pair in term.items():
+        x = out[grade]
+        products, swaps, adjoints = work[grade]
+        for j in (0, 1):
+            c = j ^ grade  # block j holds rows of parity j, columns of parity c
+            x[j].fill(0.0)
+            _matmul_add(gen.half_blocks[j], pair[j], x[j])
+            for split in gen.split_lindblads:
+                products[j].fill(0.0)
+                _matmul_add(split[c], pair[1 - c], products[j])
+                _matmul_add(split[j], np.conj(products[j].T, out=swaps[j]), x[j])
+        for j in (0, 1):
+            np.conj(x[j ^ grade].T, out=adjoints[j])
+        for block, adjoint in zip(x, adjoints):
+            block += adjoint
     return out
 
 
@@ -285,42 +416,57 @@ def lindblad_integrate(
     ``tr rho``.  Every term after the first is traceless, so the trace is a
     lower bound of ``||rho||_s`` for the whole substep; with a nonpositive
     trace only an exactly zero term, after which all are zero, stops early.
-    The state is hermitized once on entry, after which every Taylor term, and
-    so the result, is exactly Hermitian; the final truncation leakage must
-    stay below the limit.  The state, two Taylor terms, the right-hand side's
-    work space and one real buffer for ``|T_k|`` are the only ``d x d`` arrays
-    allocated, once per call.
+
+    The state is split once into the parity blocks of :func:`lindblad_rhs`
+    and joined once at the end.  The generator never mixes the two grades,
+    so a grade that is exactly zero on entry stays zero and is skipped: from
+    the vacuum only the even-even and odd-odd blocks, half of the ``d x d``
+    entries, are ever read or written.  ``||.||_s`` is summed over the
+    evolved blocks.  The state is hermitized once on entry, after which
+    every Taylor term, and so the result, is exactly Hermitian; the final
+    truncation leakage must stay below the limit.  The blocks of the state
+    and of two Taylor terms, the right-hand side's work space and one real
+    buffer for ``|T_k|`` are allocated once per call.
     """
     degree, steps = _taylor_schedule(gen, t)
     if t == 0:
         return rho0.copy()
     x = t * gen.norm_bound / steps
-    # one set of d x d buffers for the whole integration, reused by every term
-    rho = np.array(rho0, dtype=complex, order="C")
-    term, following = np.empty_like(rho), np.empty_like(rho)
-    work = np.empty((2, *rho.shape), dtype=complex)
-    magnitude = np.empty(rho.shape)
-    rho += np.conj(rho.T, out=work[0])
-    rho *= 0.5
+    space = gen.space
+    entry = _split_sectors(space, rho0)
+    live = [g for g, pair in entry.items() if any(block.any() for block in pair)]
+    # one set of buffers for the whole integration, reused by every term
+    (state, state_blocks), (term, term_blocks), (following, following_blocks) = (
+        _sector_buffer(space, live) for _ in range(3)
+    )
+    work = _rhs_work(space)
+    magnitude = np.empty(state.shape)
+    for g in live:
+        for j in (0, 1):
+            np.add(entry[g][j], np.conj(entry[g][j ^ g].T), out=state_blocks[g][j])
+    state *= 0.5
     for _ in range(steps):
-        floor = TAYLOR_TOL * float(np.trace(rho).real)
-        term[...] = rho
+        trace = sum(np.trace(b) for b in state_blocks.get(0, ()))
+        floor = TAYLOR_TOL * float(trace.real)
+        term[...] = state
         for k in range(1, degree + 1):
-            lindblad_rhs(gen, term, out=following, work=work)
+            lindblad_rhs(gen, term_blocks, out=following_blocks, work=work)
             following *= t / (steps * k)
-            rho += following
+            state += following
             term, following = following, term
+            term_blocks, following_blocks = following_blocks, term_blocks
             # the bound holds only for k + 1 > x; before that, skip the norm pass
             if k + 1 > x:
                 if np.abs(term, out=magnitude).sum() * x <= floor * (k + 1 - x):
                     break
-    leak = leakage(gen.space, rho)
+    out = _join_sectors(space, state_blocks)
+    leak = leakage(space, out)
     if leak > leakage_limit:
         raise RuntimeError(
             f"truncation leakage {leak:.3e} exceeds {leakage_limit:.1e}; "
             "raise the cutoff"
         )
-    return rho
+    return out
 
 
 def extract_covariance(space: FockSpace, rho: np.ndarray) -> CovarianceMatrix:
@@ -380,6 +526,11 @@ def _conjugate(rho: np.ndarray, u_a: np.ndarray, u_b: np.ndarray) -> np.ndarray:
     return (u_a.conj() @ r).reshape(c * c, c * c)
 
 
+def _check_step(dt: float) -> None:
+    if not (math.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt must be finite and positive, got {dt}")
+
+
 def kraus_average_step(
     space: FockSpace,
     rho: np.ndarray,
@@ -408,10 +559,9 @@ def kraus_average_step(
     """
     if space.modes != 2:
         raise ValueError("channel averaging needs the two-mode space")
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    _check_step(dt)
     c = space.cutoff
-    one = FockSpace(c, modes=1)
+    one = _shared_space(c, 1)
     m_vals, m_basis = _quadrature_eigenbasis(one, channel.vec)
     if channel.feed_vec is None:
         f_vals, f_basis = np.zeros(c), np.eye(c, dtype=complex)
@@ -464,12 +614,13 @@ def protocol_kraus_step(
     The local Hamiltonian does not couple the sides, so its unitary is
     ``U_A (x) U_B`` from two one-mode exponentials, applied mode by mode.
     """
+    _check_step(dt)
     worst_defect = 0.0
     out = rho
     for ch in protocol.channels:
         out, (_, _, defect) = kraus_average_step(space, out, ch, dt)
         worst_defect = max(worst_defect, defect)
-    quads = FockSpace(space.cutoff, modes=1).quadratures()
+    quads = _shared_space(space.cutoff, 1).quadratures()
     h = protocol.local_hamiltonian
     d = protocol.layout.dim_a
     u_a, u_b = (
@@ -481,10 +632,21 @@ def protocol_kraus_step(
 
 
 def log_negativity_dense(space: FockSpace, rho: np.ndarray) -> float:
-    """Logarithmic negativity (base 2) from the dense partial transpose."""
+    """Logarithmic negativity (base 2) from the dense partial transpose.
+
+    The partial transpose moves ``rho_{(a,b),(a',b')}`` to ``(a,b'),(a',b)``,
+    which keeps ``a + b + a' + b'`` and so the grade of every entry.  When
+    no entry across the even and odd states is nonzero (exactly), the
+    transpose is block-diagonal on them too and its spectrum is that of the
+    two blocks, a quarter of the work of one ``d x d`` ``eigvalsh``.
+    """
     if space.modes != 2:
         raise ValueError("negativity needs the two-mode space")
     c = space.cutoff
     pt = rho.reshape(c, c, c, c).transpose(0, 3, 2, 1).reshape(c * c, c * c)
-    vals = np.linalg.eigvalsh(pt)
-    return float(np.log2(np.sum(np.abs(vals))))
+    blocks = _split_sectors(space, pt)
+    if any(block.any() for block in blocks[1]):
+        parts = [pt]
+    else:
+        parts = blocks[0]
+    return float(np.log2(sum(np.abs(np.linalg.eigvalsh(p)).sum() for p in parts)))

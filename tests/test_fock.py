@@ -11,7 +11,10 @@ from scipy.linalg import expm
 from gausep import fock
 from gausep.dynamics import evolve
 from gausep.fock import (
+    _join_sectors,
     _matmul_add,
+    _rhs_work,
+    _split_sectors,
     _taylor_schedule,
     FockSpace,
     build_fock_generator,
@@ -332,7 +335,10 @@ def test_rhs_matches_the_dense_master_equation():
         dense = op.toarray()
         sq = dense @ dense
         expected += rate * (dense @ rho @ dense - 0.5 * (sq @ rho + rho @ sq))
-    np.testing.assert_allclose(lindblad_rhs(fgen, rho), expected, rtol=0, atol=1e-13)
+    blocks = lindblad_rhs(fgen, _split_sectors(fgen.space, rho))
+    np.testing.assert_allclose(
+        _join_sectors(fgen.space, blocks), expected, rtol=0, atol=1e-13
+    )
 
 
 def test_dense_entanglement_matches_gaussian_at_cutoff_twenty():
@@ -464,14 +470,22 @@ def test_a_vacuum_chunk_stops_at_the_tail_bound_whatever_the_cutoff(monkeypatch)
 
 def test_rhs_buffers_are_filled_and_returned():
     fgen = fock_generator_from_model(correlated_model(), cutoff=6)
+    space = fgen.space
     rho = random_state(fgen.space.dim, 4)
     rho = 0.5 * (rho + rho.conj().T)
-    out = np.full_like(rho, np.nan)
-    work = np.full((2, *rho.shape), np.nan, dtype=complex)
-    assert lindblad_rhs(fgen, rho, out=out, work=work) is out
-    np.testing.assert_array_equal(out, lindblad_rhs(fgen, rho))
-    np.testing.assert_array_equal(out, out.conj().T)
-    np.testing.assert_allclose(out, six_product_rhs(fgen, rho), rtol=0, atol=1e-14)
+    blocks = _split_sectors(space, rho)
+    out = {g: tuple(np.full_like(b, np.nan) for b in pair) for g, pair in blocks.items()}
+    work = _rhs_work(space)
+    for views in work.values():
+        for buffers in views:
+            for buffer in buffers:
+                buffer.fill(np.nan)
+    assert lindblad_rhs(fgen, blocks, out=out, work=work) is out
+    joined = _join_sectors(space, out)
+    fresh = _join_sectors(space, lindblad_rhs(fgen, blocks))
+    np.testing.assert_array_equal(joined, fresh)
+    np.testing.assert_array_equal(joined, joined.conj().T)
+    np.testing.assert_allclose(joined, six_product_rhs(fgen, rho), rtol=0, atol=1e-14)
 
 
 def test_integrated_state_is_exactly_hermitian_and_the_input_is_kept():
@@ -496,3 +510,150 @@ def test_integrator_rejects_a_time_whose_substep_count_overflows():
     fgen = fock_generator_from_model(correlated_model(), cutoff=4)
     with pytest.raises(ValueError, match="substeps"):
         lindblad_integrate(fgen, fgen.space.vacuum(), 1e300)
+
+
+def sector_block(a, space, r, c):
+    """Rows of total parity ``r`` and columns of parity ``c``, dense."""
+    even_odd = space.sectors
+    dense = a.toarray() if sp.issparse(a) else a
+    return dense[np.ix_(even_odd[r], even_odd[c])]
+
+
+def test_space_sectors_split_the_basis_by_total_parity():
+    for modes, cutoff in ((1, 5), (2, 4), (2, 5)):
+        space = FockSpace(cutoff, modes=modes)
+        even, odd = space.sectors
+        total = np.array([sum(divmod(i, cutoff)) for i in range(space.dim)])
+        assert np.all(total[even] % 2 == 0) and np.all(total[odd] % 2 == 1)
+        assert sorted([*even, *odd]) == list(range(space.dim))
+
+
+@pytest.mark.parametrize("cutoff", [4, 5])
+def test_generator_never_connects_the_two_parities(cutoff):
+    """The quadratic part is block-diagonal, each Lindblad block-off-diagonal."""
+    for model in (correlated_model(), rank1_model(1.0, 2.0, 2.0, h_a=np.eye(2))):
+        fgen = fock_generator_from_model(model, cutoff)
+        space = fgen.space
+        for a in (fgen.half_generator, fgen.hamiltonian):
+            assert not sector_block(a, space, 0, 1).any()
+            assert not sector_block(a, space, 1, 0).any()
+        for j in (0, 1):
+            np.testing.assert_array_equal(
+                fgen.half_blocks[j].toarray(),
+                sector_block(fgen.half_generator, space, j, j),
+            )
+        assert len(fgen.split_lindblads) == len(fgen.lindblads)
+        for (rate, op), split in zip(fgen.lindblads, fgen.split_lindblads):
+            for j in (0, 1):
+                assert not sector_block(op, space, j, j).any()
+                np.testing.assert_allclose(
+                    split[j].toarray(),
+                    math.sqrt(0.5 * rate) * sector_block(op, space, j, 1 - j),
+                    rtol=1e-15,
+                )
+
+
+def test_split_and_join_are_inverse():
+    space = FockSpace(5, modes=2)
+    rho = random_state(space.dim, 21)
+    blocks = _split_sectors(space, rho)
+    np.testing.assert_array_equal(_join_sectors(space, blocks), rho)
+    np.testing.assert_array_equal(blocks[1][1], rho[np.ix_(*space.sectors[::-1])])
+    del blocks[1]
+    joined = _join_sectors(space, blocks)
+    for r, c in ((0, 1), (1, 0)):
+        assert not sector_block(joined, space, r, c).any()
+
+
+def test_a_vacuum_chunk_evolves_grade_zero_alone(monkeypatch):
+    """Grade 1 is zero from the vacuum, is never handed to the kernel, and stays 0."""
+    fgen = fock_generator_from_model(correlated_model(), cutoff=10)
+    grades = set()
+    rhs = fock.lindblad_rhs
+
+    def recording_rhs(gen, term, *args, **kwargs):
+        grades.update(term)
+        return rhs(gen, term, *args, **kwargs)
+
+    monkeypatch.setattr(fock, "lindblad_rhs", recording_rhs)
+    rho = fgen.space.vacuum()
+    for _ in range(3):
+        rho = lindblad_integrate(fgen, rho, 0.05)
+    assert grades == {0}
+    blocks = _split_sectors(fgen.space, rho)
+    assert not any(block.any() for block in blocks[1])
+    assert all(np.abs(block).max() > 1e-6 for block in blocks[0])
+    grades.clear()
+    lindblad_integrate(fgen, random_state(fgen.space.dim, 2), 0.01, leakage_limit=1.0)
+    assert grades == {0, 1}
+
+
+def full_log_negativity(space, rho):
+    c = space.cutoff
+    pt = rho.reshape(c, c, c, c).transpose(0, 3, 2, 1).reshape(c * c, c * c)
+    return float(np.log2(np.abs(np.linalg.eigvalsh(pt)).sum()))
+
+
+def negativity_and_eigvalsh_sizes(monkeypatch, space, rho):
+    """``log_negativity_dense`` and the sizes of the matrices it diagonalized."""
+    sizes = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def recording_eigvalsh(a, *args, **kwargs):
+        sizes.append(a.shape[0])
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording_eigvalsh)
+    try:
+        return log_negativity_dense(space, rho), sizes
+    finally:
+        monkeypatch.undo()
+
+
+def test_block_negativity_matches_the_full_spectrum(monkeypatch):
+    model = rank1_model(1.5, 0.5, 0.6, h_a=np.eye(2), h_b=np.eye(2))
+    fgen = fock_generator_from_model(model, cutoff=13)
+    space = fgen.space
+    evolved = lindblad_integrate(fgen, space.vacuum(), 0.01)
+    a = np.diag(np.sqrt(np.arange(1, 13)), 1)
+    ab = np.kron(a, a)
+    squeezed = expm(0.3 * (ab - ab.T)) @ space.vacuum() @ expm(0.3 * (ab.T - ab))
+    for rho in (evolved, squeezed, space.vacuum()):
+        value, sizes = negativity_and_eigvalsh_sizes(monkeypatch, space, rho)
+        assert sizes == [len(s) for s in space.sectors]
+        assert abs(value - full_log_negativity(space, rho)) <= 1e-14
+    assert log_negativity_dense(space, squeezed) > 0.5
+    mixed = random_state(space.dim, 6)
+    value, sizes = negativity_and_eigvalsh_sizes(monkeypatch, space, mixed)
+    assert sizes == [space.dim]
+    assert value == full_log_negativity(space, mixed)
+
+
+def test_lab_scale_indefinite_noise_form_is_refused():
+    """The PSD check is relative to the largest rate, at any scale."""
+    space = FockSpace(4, modes=2)
+    g = np.zeros((4, 4))
+    for scale in (1.0, 1e-12):
+        with pytest.raises(ValueError, match="positive semidefinite"):
+            build_fock_generator(space, g, scale * np.diag([1.0, -10.0, 0.0, 0.0]))
+        fgen = build_fock_generator(space, g, scale * np.diag([1.0, 1.0, 0.0, 0.0]))
+        assert len(fgen.lindblads) == 2
+
+
+def test_quadratures_are_built_once_per_space():
+    space = FockSpace(6, modes=2)
+    assert space.quadratures() is space.quadratures()
+    assert len(space.quadratures()) == 4
+
+
+@pytest.mark.parametrize("dt", [float("nan"), float("inf"), -float("inf"), 0.0, -1e-3])
+def test_channel_steps_reject_a_non_finite_or_nonpositive_dt(dt):
+    model = rank1_model(1.0, 2.0, 2.0, h_a=np.eye(2), h_b=np.eye(2))
+    protocol = build_rank1_protocol(model)
+    space = FockSpace(6, modes=2)
+    with pytest.raises(ValueError, match="finite and positive"):
+        kraus_average_step(space, space.vacuum(), protocol.channels[0], dt)
+    unitary_only = LoccProtocol(model.layout, (), protocol.local_hamiltonian)
+    for p in (protocol, unitary_only):
+        with pytest.raises(ValueError, match="finite and positive"):
+            protocol_kraus_step(space, space.vacuum(), p, dt)
