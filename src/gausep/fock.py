@@ -52,7 +52,6 @@ import scipy.sparse as sp
 from numpy.polynomial.hermite import hermgauss
 from scipy.linalg import expm
 from scipy.sparse import _sparsetools
-from scipy.sparse.linalg import norm as sparse_norm
 
 from .generators import SystemModel, hamiltonian_form, noise_form
 from .locc import LoccProtocol, Rank1Channel
@@ -110,6 +109,19 @@ class FockSpace:
         return tuple(sp.kron(left, right, format="csr") for left, right in pairs)
 
     @functools.cached_property
+    def _linear(self) -> "_SharedPattern":
+        """The quadratures ``q_j`` on one pattern."""
+        return _SharedPattern.of(self, self._quadratures)
+
+    @functools.cached_property
+    def _quadratic(self) -> "_SharedPattern":
+        """Every ``(q_j q_k + q_k q_j) / 2``, row-major in ``(j, k)``, on one pattern."""
+        quads = self._quadratures
+        return _SharedPattern.of(
+            self, [0.5 * (qj @ qk + qk @ qj) for qj in quads for qk in quads]
+        )
+
+    @functools.cached_property
     def sectors(self) -> tuple[np.ndarray, np.ndarray]:
         """Indices of the basis states of even and of odd total number."""
         total = np.indices((self.cutoff,) * self.modes).sum(axis=0).ravel()
@@ -158,15 +170,79 @@ class FockGenerator:
     split_lindblads: tuple[tuple[sp.csr_array, sp.csr_array], ...]
 
 
-def _quadratic_operator(
-    quads: tuple[sp.csr_array, ...], form: np.ndarray
-) -> sp.csr_array:
-    """Hermitian part of ``(1/2) xi^T form xi`` on the quadrature operators."""
-    dim = quads[0].shape[0]
-    h = sp.csr_array((dim, dim), dtype=complex)
-    for j, k in zip(*np.nonzero(form)):
-        h = h + 0.5 * form[j, k] * (quads[j] @ quads[k])
-    return (0.5 * (h + h.conj().T)).tocsr()
+@dataclass(frozen=True, eq=False)
+class _SharedPattern:
+    """Fixed operators ``B_i`` stored on one sparsity pattern.
+
+    ``data[i]`` holds ``B_i`` at the stored entries ``(rows, cols)``, sorted
+    row-major, so the stored entries of any combination ``sum_i c_i B_i`` are
+    the one product ``c @ data``.  ``blocks[(r, c)]`` maps the entries to the
+    block of rows of total parity ``r`` and columns of parity ``c``, in the
+    order of :attr:`FockSpace.sectors`: the entries it takes, in the block's
+    own row-major order, their rows and columns in the block, and its shape.
+    """
+
+    dim: int
+    rows: np.ndarray
+    cols: np.ndarray
+    data: np.ndarray
+    blocks: dict[tuple[int, int], tuple[np.ndarray, np.ndarray, np.ndarray, tuple]]
+
+    @classmethod
+    def of(cls, space: "FockSpace", ops) -> "_SharedPattern":
+        dim = space.dim
+        coos = [sp.coo_array(op) for op in ops]
+        keys = [coo.row.astype(np.int64) * dim + coo.col for coo in coos]
+        union = np.unique(np.concatenate(keys))
+        data = np.zeros((len(coos), union.size), dtype=complex)
+        for row, coo, key in zip(data, coos, keys):
+            np.add.at(row, np.searchsorted(union, key), coo.data)
+        rows, cols = np.divmod(union, dim)
+        parity = np.empty(dim, dtype=np.int64)
+        rank = np.empty(dim, dtype=np.int64)
+        for j, idx in enumerate(space.sectors):
+            parity[idx] = j
+            rank[idx] = np.arange(idx.size)
+        blocks = {}
+        for r in (0, 1):
+            for c in (0, 1):
+                take = np.flatnonzero((parity[rows] == r) & (parity[cols] == c))
+                shape = (space.sectors[r].size, space.sectors[c].size)
+                local = rank[rows[take]] * shape[1] + rank[cols[take]]
+                order = np.argsort(local)
+                blocks[r, c] = (take[order], *np.divmod(local[order], shape[1]), shape)
+        return cls(dim, rows, cols, data, blocks)
+
+    def combine(self, coeffs) -> np.ndarray:
+        """Stored entries of ``sum_i c_i B_i``, one row per coefficient set.
+
+        ``coeffs`` is one set or a sequence of sets, each flattened to the
+        length of ``data`` (an ``n x n`` form for the products ``(j, k)``).
+        """
+        coeffs = np.asarray(coeffs, dtype=complex)
+        return coeffs.reshape(-1, len(self.data)) @ self.data
+
+    def matrix(self, values: np.ndarray) -> sp.csr_array:
+        """The matrix with these stored entries, exact zeros dropped."""
+        return _csr(values, self.rows, self.cols, (self.dim, self.dim))
+
+    def block(self, values: np.ndarray, r: int, c: int) -> sp.csr_array:
+        """Block ``(r, c)`` of :meth:`matrix`, exact zeros dropped."""
+        take, rows, cols, shape = self.blocks[r, c]
+        return _csr(values[take], rows, cols, shape)
+
+    def norm(self, values: np.ndarray, axis: int) -> float:
+        """Largest column (``axis`` 0: the 1-norm) or row (1: the inf-norm) sum."""
+        lines = self.cols if axis == 0 else self.rows
+        return float(np.bincount(lines, weights=np.abs(values), minlength=self.dim).max())
+
+
+def _csr(values: np.ndarray, rows: np.ndarray, cols: np.ndarray, shape) -> sp.csr_array:
+    """CSR matrix of the nonzero ``values`` at row-major sorted ``(rows, cols)``."""
+    keep = values != 0
+    indptr = np.zeros(shape[0] + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows[keep], minlength=shape[0]), out=indptr[1:])
+    return sp.csr_array((values[keep], cols[keep], indptr), shape=shape)
 
 
 def build_fock_generator(
@@ -178,44 +254,38 @@ def build_fock_generator(
     operators; the noise form is diagonalized and each eigenvector becomes a
     Hermitian quadrature Lindblad operator at the eigenvalue rate.  Rates at
     or below ``n eps`` times the largest (``n`` quadratures) are dropped.
+    The operators are combinations of the quadratures and their symmetrized
+    products, which the space keeps on shared patterns: ``H`` and ``half``
+    are one product with the ``n^2`` products, the Lindblads one with the
+    ``n`` quadratures, and every sector block a gather from those entries.
     """
-    quads = space.quadratures()
-    n = len(quads)
+    n = len(space.quadratures())
     if g_form.shape != (n, n) or q_form.shape != (n, n):
         raise ValueError("form dimensions do not match the space")
-    h = _quadratic_operator(quads, g_form)
     rates, vecs = np.linalg.eigh(q_form)
     if rates[0] < -1e-10 * np.abs(rates).max():
         raise ValueError("noise form is not positive semidefinite")
     # rates at or below eigh's resolution are roundoff of zero, not noise
     cut = max(rates[-1], 0.0) * n * np.finfo(float).eps
-    lindblads = []
-    half = -1j * h
-    for rate, vec in zip(rates.tolist(), vecs.T):
-        if rate > cut:
-            op = sum(vec[j] * quads[j] for j in range(n)).tocsr()
-            lindblads.append((rate, op))
-            half = half - 0.5 * rate * (op @ op)
-    half = half.tocsr()
-
-    def block(op: sp.csr_array, r: int, c: int) -> sp.csr_array:
-        out = op[np.ix_(space.sectors[r], space.sectors[c])]
-        out.sort_indices()  # the row sums of the full product, in the same order
-        return out
-
+    kept = rates > cut
+    rates, vecs = rates[kept], vecs[:, kept]
+    quadratic, linear = space._quadratic, space._linear
+    # -iH - (1/2) sum_k q_k L_k^2, as L_k^2 = sum_jk v_j v_k q_j q_k
+    squares = (vecs * rates) @ vecs.T
+    h, half = quadratic.combine([0.5 * g_form, -0.5j * g_form - 0.5 * squares])
+    ops = linear.combine(vecs.T)
+    rates = rates.tolist()
     return FockGenerator(
         space=space,
-        hamiltonian=h,
-        lindblads=tuple(lindblads),
-        half_generator=half,
-        norm_bound=float(
-            2.0 * sparse_norm(half, 1)
-            + sum(r * sparse_norm(op, 1) * sparse_norm(op, np.inf) for r, op in lindblads)
-        ),
-        half_blocks=(block(half, 0, 0), block(half, 1, 1)),
+        hamiltonian=quadratic.matrix(h),
+        lindblads=tuple((r, linear.matrix(op)) for r, op in zip(rates, ops)),
+        half_generator=quadratic.matrix(half),
+        norm_bound=2.0 * quadratic.norm(half, 0)
+        + sum(r * linear.norm(op, 0) * linear.norm(op, 1) for r, op in zip(rates, ops)),
+        half_blocks=tuple(quadratic.block(half, j, j) for j in (0, 1)),
         split_lindblads=tuple(
-            (block(split, 0, 1), block(split, 1, 0))
-            for split in (math.sqrt(0.5 * r) * op for r, op in lindblads)
+            tuple(linear.block(math.sqrt(0.5 * r) * op, j, 1 - j) for j in (0, 1))
+            for r, op in zip(rates, ops)
         ),
     )
 
@@ -470,20 +540,17 @@ def lindblad_integrate(
 
 
 def extract_covariance(space: FockSpace, rho: np.ndarray) -> CovarianceMatrix:
-    """Symmetrized second moments (mean-subtracted) of a dense state."""
+    """Symmetrized second moments (mean-subtracted) of a dense state.
 
-    def expect(op) -> float:  # tr(op rho) = sum of op_ij rho_ji over stored entries
-        coo = op.tocoo()
-        return float(np.dot(coo.data, rho[coo.col, coo.row]).real)
-
-    quads = space.quadratures()
-    n = len(quads)
-    means = np.array([expect(q) for q in quads])
-    v = np.zeros((n, n))
-    for j in range(n):
-        for k in range(j, n):
-            sym = 0.5 * expect(quads[j] @ quads[k] + quads[k] @ quads[j])
-            v[j, k] = v[k, j] = sym - means[j] * means[k]
+    Every moment is ``Re tr(op rho)``, the sum of ``op_ij rho_ji`` over the
+    stored entries, so the means and the products ``(q_j q_k + q_k q_j) / 2``
+    each take one product with ``rho`` gathered at their shared pattern.
+    """
+    means, products = (
+        (pattern.data @ rho[pattern.cols, pattern.rows]).real
+        for pattern in (space._linear, space._quadratic)
+    )
+    v = products.reshape(means.size, means.size) - np.outer(means, means)
     layout = ModeLayout(1, 1) if space.modes == 2 else ModeLayout(1, 0)
     return CovarianceMatrix(v, layout)
 
@@ -620,12 +687,12 @@ def protocol_kraus_step(
     for ch in protocol.channels:
         out, (_, _, defect) = kraus_average_step(space, out, ch, dt)
         worst_defect = max(worst_defect, defect)
-    quads = _shared_space(space.cutoff, 1).quadratures()
+    quadratic = _shared_space(space.cutoff, 1)._quadratic
     h = protocol.local_hamiltonian
     d = protocol.layout.dim_a
     u_a, u_b = (
-        expm(-1j * dt * _quadratic_operator(quads, block).toarray())
-        for block in (h[:d, :d], h[d:, d:])
+        expm(-1j * dt * quadratic.matrix(local).toarray())
+        for local in quadratic.combine([0.5 * h[:d, :d], 0.5 * h[d:, d:]])
     )
     out = _conjugate(out, u_a, u_b)
     return 0.5 * (out + out.conj().T), worst_defect

@@ -390,26 +390,39 @@ def _channel_kick(ch: Rank1Channel, layout: ModeLayout, dt: float):
     return m, back, d
 
 
+def _compose(second, first):
+    """The affine map ``first`` followed by ``second``.
+
+    Maps are ``(S, N)`` acting as ``V -> S V S^T + N``, so
+    ``(S2, N2) o (S1, N1) = (S2 S1, S2 N1 S2^T + N2)``; the noise part is
+    symmetrized.  A covariance matrix ``V`` is the constant map ``(0, V)``.
+    """
+    s2, n2 = second
+    s1, n1 = first
+    n = s2 @ n1 @ s2.T + n2
+    return s2 @ s1, 0.5 * (n + n.T)
+
+
 def _affine_step(protocol: LoccProtocol, dt: float):
     """``(S, N)`` with one protocol step equal to ``V -> S V S^T + N``.
 
-    Channel ``k`` is ``V -> G_k V G_k^T + N_k`` with ``G_k = I + d m^T`` and
+    Channel ``k`` is the map ``(G_k, N_k)`` with ``G_k = I + d m^T`` and
     ``N_k = gamma dt b b^T + d d^T / (4 gamma dt)``, ``b = Omega m``; the
     backaction passes the gain unchanged because ``m^T Omega m = 0``.  The
-    channels compose in order, then the local unitary ``exp(Omega H dt)``.
+    channels compose in order by :func:`_compose`, then the local unitary
+    ``(exp(Omega H dt), 0)``.
     """
     lo = protocol.layout
-    s = np.eye(lo.dim)
-    n = np.zeros((lo.dim, lo.dim))
+    zero = np.zeros((lo.dim, lo.dim))
+    step = (np.eye(lo.dim), zero)
     for ch in protocol.channels:
         m, back, d = _channel_kick(ch, lo, dt)
         gain = np.eye(lo.dim) + np.outer(d, m)
-        s = gain @ s
-        n = gain @ n @ gain.T + ch.gamma * dt * np.outer(back, back)
-        n += np.outer(d, d) / (4.0 * ch.gamma * dt)
+        noise = ch.gamma * dt * np.outer(back, back)
+        noise += np.outer(d, d) / (4.0 * ch.gamma * dt)
+        step = _compose((gain, noise), step)
     s_loc = expm(build_form(lo) @ protocol.local_hamiltonian * dt)
-    n = s_loc @ n @ s_loc.T
-    return s_loc @ s, 0.5 * (n + n.T)
+    return _compose((s_loc, zero), step)
 
 
 def protocol_step(v: CovarianceMatrix, protocol: LoccProtocol, dt: float) -> CovarianceMatrix:
@@ -418,26 +431,31 @@ def protocol_step(v: CovarianceMatrix, protocol: LoccProtocol, dt: float) -> Cov
     First-order splitting; the error against the effective semigroup is
     ``O(dt^2)`` per step.
     """
-    s, n = _affine_step(protocol, dt)
-    m = s @ v.matrix @ s.T + n
-    return CovarianceMatrix(0.5 * (m + m.T), protocol.layout)
+    return run_protocol(v, protocol, dt, 1)
 
 
 def run_protocol(
     v0: CovarianceMatrix, protocol: LoccProtocol, t: float, steps: int
 ) -> CovarianceMatrix:
-    """Iterate :func:`protocol_step` over ``steps`` equal slices of ``t``.
+    """Apply :func:`protocol_step` ``steps`` times over equal slices of ``t``.
 
-    The step is one fixed affine map, composed once and applied ``steps`` times.
+    The step is one fixed affine map, so its ``steps``-fold power is taken by
+    binary powering: the state takes the map's ``2^j``-th power for every
+    set bit ``j`` of ``steps``, and the map is squared in between, at most
+    ``2 log2(steps) + 1`` calls of :func:`_compose` in all.  The cost is
+    logarithmic in ``steps``, and so is the roundoff the compositions add.
     """
     if steps < 1:
         raise ValueError("steps must be at least 1")
-    s, n = _affine_step(protocol, t / steps)
-    m = v0.matrix
-    for _ in range(steps):
-        m = s @ m @ s.T + n
-        m = 0.5 * (m + m.T)
-    return CovarianceMatrix(m, protocol.layout)
+    power = _affine_step(protocol, t / steps)
+    state = (np.zeros_like(v0.matrix), v0.matrix)
+    while True:
+        if steps & 1:
+            state = _compose(power, state)
+        steps >>= 1
+        if not steps:
+            return CovarianceMatrix(state[1], protocol.layout)
+        power = _compose(power, power)
 
 
 # -- damped (memory-corrected) bound ------------------------------------------

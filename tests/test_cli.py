@@ -8,10 +8,10 @@ import jsonschema
 import numpy as np
 import pytest
 
-from gausep import cli, fock
+from gausep import cli, fock, gravity
 from gausep.cli import main
 from gausep.dynamics import evolve
-from gausep.generators import build_generator, model_from_dict
+from gausep.generators import build_generator, model_from_dict, model_to_dict
 from gausep.separability import log_negativity, ppt_multimode
 from gausep.symplectic import CovarianceMatrix
 
@@ -204,6 +204,65 @@ def test_locc_verify_reports_small_residual(tmp_path, capsys):
     residual = float(out.split("generator_residual: ")[1].splitlines()[0])
     assert residual < 1e-12
     assert "trotter_order" in out
+
+
+CONFIGS = Path(__file__).parents[1] / "configs"
+
+
+def lab_model_config(coupling: float, noise_ratio: float) -> dict:
+    """Two 0.1 kg masses 1 cm apart, nondimensionalized by ``gravity.to_model``.
+
+    The reference frequency makes the dimensionless coupling ``coupling`` and
+    the damping makes each thermal drive ``noise_ratio`` times it.
+    """
+    mass, separation, temperature = 0.1, 1e-2, 1e-3
+    omega = np.sqrt(gravity.coupling_constant(mass, mass, separation) / (mass * coupling))
+    gamma = (
+        noise_ratio * coupling * gravity.REDUCED_PLANCK * omega**2
+        / (2.0 * gravity.BOLTZMANN * temperature)
+    )
+    scenario = gravity.TwoMassScenario(mass, mass, separation, gamma, gamma, temperature)
+    model, _ = gravity.to_model(scenario, omega)
+    return {"model": model_to_dict(model)}
+
+
+def trotter_report(capsys) -> dict:
+    lines = capsys.readouterr().out.splitlines()
+    return dict(line.split(": ", 1) for line in lines if line.startswith("trotter"))
+
+
+def test_trotter_order_is_exact_below_the_roundoff_of_the_step_map(tmp_path, capsys):
+    """A lab-scale splitting error is roundoff, an O(1) model's is first order."""
+    cfg = write_config(tmp_path, lab_model_config(1e-11, 1.5))
+    assert main(["locc-verify", "--config", cfg]) == 0
+    report = trotter_report(capsys)
+    assert report["trotter_order"] == "exact"
+    assert 0.0 < float(report["trotter_error_dt_half"]) < 1e-13
+    assert main(["locc-verify", "--config", str(CONFIGS / "locc_harmonic.json")]) == 0
+    assert abs(float(trotter_report(capsys)["trotter_order"]) - 1.0) < 1e-3
+
+
+def test_locc_verify_powers_a_billion_steps(capsys):
+    cfg = str(CONFIGS / "locc_harmonic.json")
+    assert main(["locc-verify", "--config", cfg, "--t", "1e-3", "--dt", "1e-12"]) == 0
+    assert trotter_report(capsys)["trotter_order"] == "exact"
+
+
+@pytest.mark.parametrize(
+    "t, dt",
+    [
+        ("1", "1e-309"),  # t / dt overflows to infinity
+        ("10", "1e-300"),  # finite, far above the cap
+        ("1e300", "1e-10"),  # overflows, with a time evolve cannot reach
+    ],
+)
+def test_unresolvable_step_count_exits_one_without_output(capsys, t, dt):
+    cfg = str(CONFIGS / "locc_harmonic.json")
+    assert main(["locc-verify", "--config", cfg, "--t", t, "--dt", dt]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert "Trotter steps than the cap" in captured.err
 
 
 def test_locc_verify_infeasible_exits_three(tmp_path, capsys):

@@ -33,6 +33,7 @@ from gausep.generators import (
     ScalarWhiteNoise,
     SystemModel,
     build_generator,
+    hamiltonian_form,
     noise_form,
 )
 from gausep.locc import (
@@ -551,6 +552,58 @@ def test_generator_never_connects_the_two_parities(cutoff):
                     math.sqrt(0.5 * rate) * sector_block(op, space, j, 1 - j),
                     rtol=1e-15,
                 )
+
+
+def dense_quadratures(space):
+    x, p = space.position(), space.momentum()
+    if space.modes == 1:
+        return [x, p]
+    eye = np.eye(space.cutoff)
+    return [np.kron(x, eye), np.kron(p, eye), np.kron(eye, x), np.kron(eye, p)]
+
+
+@pytest.mark.parametrize("cutoff", [5, 12])
+def test_generator_and_moments_match_dense_quadrature_algebra(cutoff):
+    """The shared-pattern assembly against products of dense quadratures."""
+    model = correlated_model()
+    fgen = fock_generator_from_model(model, cutoff)
+    space = fgen.space
+    quads = dense_quadratures(space)
+    g, q = hamiltonian_form(model), noise_form(model)
+    h = 0.5 * sum(g[j, k] * quads[j] @ quads[k] for j in range(4) for k in range(4))
+    h = 0.5 * (h + h.conj().T)
+    rates, vecs = np.linalg.eigh(q)
+    kept = rates > 4 * np.finfo(float).eps * rates.max()  # the zero rates of Q
+    rates, vecs = rates[kept], vecs[:, kept]
+    ops = [sum(v[j] * quads[j] for j in range(4)) for v in vecs.T]
+    half = -1j * h - 0.5 * sum(r * op @ op for r, op in zip(rates, ops))
+
+    def close(actual, expected):
+        scale = np.abs(expected).max()
+        assert np.abs(actual - expected).max() <= 1e-15 * scale
+
+    close(fgen.hamiltonian.toarray(), h)
+    close(fgen.half_generator.toarray(), half)
+    assert [r for r, _ in fgen.lindblads] == rates.tolist()
+    for (_, op), expected in zip(fgen.lindblads, ops):
+        close(op.toarray(), expected)
+    norm_bound = 2.0 * np.abs(half).sum(axis=0).max() + sum(
+        r * np.abs(op).sum(axis=0).max() * np.abs(op).sum(axis=1).max()
+        for r, op in zip(rates, ops)
+    )
+    assert fgen.norm_bound == pytest.approx(norm_bound, rel=1e-15)
+    for j in (0, 1):
+        block = sector_block(half, space, j, j)
+        close(fgen.half_blocks[j].toarray(), block)
+        assert fgen.half_blocks[j].nnz == np.count_nonzero(fgen.half_blocks[j].toarray())
+
+    evolved = lindblad_integrate(fgen, space.vacuum(), 0.1, leakage_limit=1.0)
+    for rho in (random_state(space.dim, 8), evolved):
+        means = np.array([np.trace(a @ rho).real for a in quads])
+        second = np.array(
+            [[0.5 * np.trace((a @ b + b @ a) @ rho).real for b in quads] for a in quads]
+        )
+        close(extract_covariance(space, rho).matrix, second - np.outer(means, means))
 
 
 def test_split_and_join_are_inverse():

@@ -1,9 +1,12 @@
 """Tests for protocol synthesis, channel algebra, and the damped bound."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from gausep import locc
 from gausep.dynamics import evolve
 from gausep.generators import (
     GeneralCoupling,
@@ -220,6 +223,67 @@ def test_composed_step_matches_channel_by_channel_application():
             assert np.abs(run_protocol(v0, protocol, t, steps).matrix - expected).max() < 1e-13
         one = protocol_step(v0, protocol, 0.05).matrix
         assert np.abs(one - channel_by_channel(v0, protocol, 0.05, 1).matrix).max() < 1e-13
+
+
+def rank1_and_general_protocols():
+    """The rank-1 (record sharing on both sides) and 2+2 general protocols above."""
+    correlated = SystemModel(
+        layout=ModeLayout(1, 1),
+        h_a=np.array([[1.0, 0.2], [0.2, 0.6]]),
+        h_b=np.eye(2),
+        coupling=Rank1Coupling(0.8, np.array([0.6, 0.8]), np.array([0.28, 0.96])),
+        noise=ScalarWhiteNoise(s_a=2.0, s_b=1.5, s_ab=0.4),
+    )
+    general = general_model(np.random.default_rng(11), 2, 2, sigma_scale=0.7)
+    return [build_rank1_protocol(correlated), synthesize_general(general)]
+
+
+@pytest.mark.parametrize("steps", [1, 2, 3, 5, 8, 100, 1000])
+def test_run_protocol_equals_repeated_protocol_steps(steps):
+    eps = np.finfo(float).eps
+    for protocol in rank1_and_general_protocols():
+        v0 = CovarianceMatrix.vacuum(protocol.layout)
+        for t in (0.05, 0.3):
+            v = v0
+            for _ in range(steps):
+                v = protocol_step(v, protocol, t / steps)
+            powered = run_protocol(v0, protocol, t, steps).matrix
+            # the explicit loop rounds once per step, up to an ulp of max|V| each
+            tol = 1e-13 + 2 * steps * eps * np.abs(v.matrix).max()
+            assert np.abs(powered - v.matrix).max() < tol
+
+
+@pytest.mark.parametrize("steps", [1, 2, 3, 7, 8, 100, 1000, 2**20 - 1, 10**9])
+def test_run_protocol_composes_logarithmically_often(monkeypatch, steps):
+    protocol = rank1_and_general_protocols()[0]
+    step = locc._affine_step(protocol, 0.1 / steps)
+    calls = []
+
+    def counted(second, first):
+        calls.append(1)
+        return compose(second, first)
+
+    compose = locc._compose
+    monkeypatch.setattr(locc, "_affine_step", lambda *args: step)
+    monkeypatch.setattr(locc, "_compose", counted)
+    run_protocol(CovarianceMatrix.vacuum(protocol.layout), protocol, 0.1, steps)
+    assert len(calls) <= 2 * math.ceil(math.log2(steps)) + 1
+
+
+def test_billion_steps_match_the_effective_semigroup():
+    """At dt = t / 1e9 the splitting error is far below roundoff.
+
+    The step map is rounded once and used 1e9 times, so the result may
+    differ from the semigroup by about an ulp of max|V| per step; the bound
+    is the CLI's allowance of four.
+    """
+    steps = 10**9
+    for protocol in rank1_and_general_protocols():
+        v0 = CovarianceMatrix.vacuum(protocol.layout)
+        exact = evolve(effective_generator(protocol), v0, 0.3).matrix
+        powered = run_protocol(v0, protocol, 0.3, steps).matrix
+        tol = 4 * steps * np.finfo(float).eps * np.abs(exact).max()
+        assert np.abs(powered - exact).max() < tol
 
 
 def test_synthesize_general_matches_target():
