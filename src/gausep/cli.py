@@ -328,14 +328,20 @@ TROTTER_ROUNDOFF_ULPS = 4
 
 
 def _trotter_steps(t: float, dt: float) -> tuple[int, int]:
-    """Step counts at ``dt`` and ``dt/2``, refused above ``MAX_TROTTER_STEPS``."""
+    """Step counts at ``dt`` and ``dt/2``, refused above ``MAX_TROTTER_STEPS``
+    or when the finer slice ``t / steps`` underflows to zero."""
     ratio = t / dt
     if not 2.0 * ratio <= MAX_TROTTER_STEPS:
         raise ConfigError(
             f"--t / --dt = {ratio:.3g} needs more Trotter steps than the cap "
             f"of {MAX_TROTTER_STEPS:.0e}"
         )
-    return max(1, round(ratio)), max(1, round(2.0 * ratio))
+    steps = max(1, round(ratio)), max(1, round(2.0 * ratio))
+    if not t / steps[1] > 0:
+        raise ConfigError(
+            f"the dt/2 slice --t / {steps[1]} = {t:.3g} / {steps[1]} underflows to 0"
+        )
+    return steps
 
 
 def _trotter_orders(protocol, target, t: float, steps: tuple[int, int]):

@@ -28,11 +28,10 @@ path with the Gaussian one.
 * :func:`kraus_average_step` applies one measurement and feed-forward channel
   as an explicit record average, done in the eigenbasis of the measured and
   fed quadratures where every Kraus factor is diagonal, so the average is an
-  elementwise multiplier on the density matrix with the record integral
-  evaluated by Gauss-Hermite quadrature.  The record phase is a sum of one
-  term per mode, so the quadrature sum factors into one-mode exponentials
-  contracted by a single matrix product, and every basis change (and the
-  local unitary of :func:`protocol_kraus_step`) acts mode by mode;
+  elementwise multiplier on the density matrix, exact in closed form (each
+  entry of the record integral is a Gaussian integral of a phase).  Basis
+  changes act mode by mode, and :func:`protocol_kraus_step` fuses each with
+  the next: one per channel plus one for the local unitary;
 * :func:`log_negativity_dense` evaluates entanglement from the partial
   transpose of the dense state, which keeps the grade of every entry, so
   for a grade-0 state it diagonalizes the even and odd blocks apart.
@@ -49,7 +48,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from numpy.polynomial.hermite import hermgauss
 from scipy.linalg import expm
 from scipy.sparse import _sparsetools
 
@@ -61,9 +59,6 @@ LEAKAGE_LIMIT = 1e-6
 TAYLOR_TOL = 2.0**-54
 # about ten seconds of right-hand sides at cutoff 12, minutes at cutoff 24
 MAX_TAYLOR_PRODUCTS = 10_000
-QUADRATURE_ORDERS = (20, 40, 60)
-
-_hermgauss = functools.cache(hermgauss)  # nodes and weights depend on the order only
 
 
 @dataclass(frozen=True, eq=False)
@@ -573,8 +568,10 @@ def product_state(rho_a: np.ndarray, rho_b: np.ndarray) -> np.ndarray:
 # -- record-averaged channel step ---------------------------------------------
 
 
-def _quadrature_eigenbasis(space_1: FockSpace, vec: np.ndarray):
-    """Eigen-decomposition of ``vec . (x, p)`` on a single mode."""
+def _quadrature_eigenbasis(space_1: FockSpace, vec: np.ndarray | None):
+    """Eigen-decomposition of ``vec . (x, p)`` on a single mode, of 0 for None."""
+    if vec is None:
+        return np.zeros(space_1.cutoff), np.eye(space_1.cutoff, dtype=complex)
     op = vec[0] * space_1.position().astype(complex) + vec[1] * space_1.momentum()
     return np.linalg.eigh(op)
 
@@ -593,84 +590,89 @@ def _conjugate(rho: np.ndarray, u_a: np.ndarray, u_b: np.ndarray) -> np.ndarray:
     return (u_a.conj() @ r).reshape(c * c, c * c)
 
 
-def _check_step(dt: float) -> None:
+def _check_step(space: FockSpace, dt: float) -> None:
+    if space.modes != 2:
+        raise ValueError("channel averaging needs the two-mode space")
     if not (math.isfinite(dt) and dt > 0):
         raise ValueError(f"dt must be finite and positive, got {dt}")
 
 
+def _channel_factors(one: FockSpace, channel: Rank1Channel, dt: float):
+    """A channel's one-mode eigenbases ``(A, B)`` and record-averaged multiplier.
+
+    The multiplier is on the ``(a, b, a', b')`` view of the state in the
+    joint eigenbasis, flattened to ``(c^2, c^2)``.  With ``x``, ``y`` the
+    measured and fed eigenvalue differences, the exponent of
+    :func:`kraus_average_step` is ``p + (z + q) y``, ``p`` and ``z`` on the
+    measured mode and ``q`` on the fed one: a sum, a product and a sum
+    before one ``c^4`` exponential.
+    """
+    c = one.cutoff
+    m_vals, m_basis = _quadrature_eigenbasis(one, channel.vec)
+    f_vals, f_basis = _quadrature_eigenbasis(one, channel.feed_vec)
+    measured, fed = (0, 1) if channel.side == "A" else (1, 0)
+    bases = (m_basis, f_basis) if measured == 0 else (f_basis, m_basis)
+
+    def on_mode(pairs: np.ndarray, mode: int) -> np.ndarray:
+        # a (c, c) array over one mode's level pairs on its axes of (a, b, a', b')
+        return pairs.reshape((c, 1, c, 1) if mode == 0 else (1, c, 1, c))
+
+    x, y = (v[:, None] - v[None, :] for v in (m_vals, f_vals))
+    mean = 0.5 * (m_vals[:, None] + m_vals[None, :])
+    gamma, kappa, lam = channel.gamma, channel.kappa, channel.lam
+    p = -dt * ((0.5 * gamma + kappa**2 / (8.0 * gamma)) * x + 1j * kappa * mean) * x
+    z = -dt * kappa * lam / (4.0 * gamma) * x - 1j * dt * lam * mean
+    q = -dt * lam**2 / (8.0 * gamma) * y
+    exponent = (on_mode(z, measured) + on_mode(q, fed)) * on_mode(y, fed)
+    exponent += on_mode(p, measured)
+    return bases, np.exp(exponent, out=exponent).reshape(c * c, c * c)
+
+
+def _channel_chain(space: FockSpace, rho: np.ndarray, channels, dt: float, u_a, u_b):
+    """The channels in turn, then ``u_a (x) u_b``: ``(state, trace_defect)``.
+
+    The state is carried in its current one-mode bases ``C``: the change
+    into the next channel's eigenbasis ``E`` is one conjugation by
+    ``E^dagger C``, and the last, by ``u C``, lands in the Fock basis, so
+    :func:`_conjugate` runs ``len(channels) + 1`` times.  The result is
+    hermitized, and renormalized if there are channels, once.
+    """
+    c = space.cutoff
+    current = (np.eye(c, dtype=complex),) * 2
+    out = rho
+    for channel in channels:
+        bases, multiplier = _channel_factors(_shared_space(c, 1), channel, dt)
+        out = _conjugate(out, *(e.conj().T @ u for e, u in zip(bases, current)))
+        out *= multiplier
+        current = bases
+    out = _conjugate(out, u_a @ current[0], u_b @ current[1])
+    out = 0.5 * (out + out.conj().T)
+    if not channels:
+        return out, 0.0
+    trace = float(np.real(np.trace(out)))
+    return out / trace, abs(trace - 1.0)
+
+
 def kraus_average_step(
-    space: FockSpace,
-    rho: np.ndarray,
-    channel: Rank1Channel,
-    dt: float,
-    tol: float = 1e-12,
-    orders: tuple[int, ...] = QUADRATURE_ORDERS,
+    space: FockSpace, rho: np.ndarray, channel: Rank1Channel, dt: float
 ):
     """One finite-time channel applied as an explicit record average.
 
     Every Kraus operator ``K(y)`` is a function of the measured and fed
     quadratures alone, so in their joint eigenbasis the averaged map is an
-    elementwise multiplier ``W``.  The record integral behind ``W`` is
-    evaluated by Gauss-Hermite quadrature, raising the order until the
-    multiplier stabilizes; the POVM resolves the identity exactly, so any
-    trace drift is quadrature error and is renormalized away and reported.
+    elementwise multiplier ``W``.  With the record phase
+    ``phi = kappa Delta(measured) + lam Delta(fed)`` of an entry, the record
+    integral ``int e^{-y^2} e^{-iky} dy / sqrt(pi) = e^{-k^2/4}``,
+    ``k = sqrt(dt / (2 gamma)) phi``, gives ``W`` in closed form:
+    ``exp(-gamma dt Delta(measured)^2 / 2 - dt phi^2 / (8 gamma)
+    - i dt mean(measured) phi)``.  Its diagonal is exactly 1, so the trace
+    drifts by roundoff only; that is renormalized away and reported.
 
-    The record phase ``phi = kappa Delta(measured) + lam Delta(fed)`` is a
-    sum of one part per mode, so each node's exponential factors into two
-    one-mode exponentials and the quadrature sum over nodes is a single
-    ``(c^2, order) @ (order, c^2)`` matrix product; the basis changes act
-    mode by mode on the ``(c, c, c, c)`` view of the state.
-
-    Returns the new state together with ``(order_used, multiplier_change,
-    trace_defect)``.
+    Returns the new state together with its trace defect.
     """
-    if space.modes != 2:
-        raise ValueError("channel averaging needs the two-mode space")
-    _check_step(dt)
-    c = space.cutoff
-    one = _shared_space(c, 1)
-    m_vals, m_basis = _quadrature_eigenbasis(one, channel.vec)
-    if channel.feed_vec is None:
-        f_vals, f_basis = np.zeros(c), np.eye(c, dtype=complex)
-    else:
-        f_vals, f_basis = _quadrature_eigenbasis(one, channel.feed_vec)
-    # per mode (A, B): eigenbasis, eigenvalues and coefficient in the record phase
-    measured = 0 if channel.side == "A" else 1
-    bases, vals, coefs = [f_basis] * 2, [f_vals] * 2, [channel.lam] * 2
-    bases[measured], vals[measured], coefs[measured] = m_basis, m_vals, channel.kappa
-
-    def on_mode(pairs: np.ndarray, mode: int) -> np.ndarray:
-        # a (c, c) array over one mode's level pairs as a column (A) or row (B)
-        # of the multiplier, laid out as a (c^2, c^2) matrix over ((a, a'), (b, b'))
-        return pairs.reshape((-1, 1) if mode == 0 else (1, -1))
-
-    rho_t = _conjugate(rho, bases[0].conj().T, bases[1].conj().T)
-
-    deltas = [v[:, None] - v[None, :] for v in vals]
-    delta_m = on_mode(deltas[measured], measured)
-    mean_m = on_mode(0.5 * (m_vals[:, None] + m_vals[None, :]), measured)
-    phi = on_mode(coefs[0] * deltas[0], 0) + on_mode(coefs[1] * deltas[1], 1)
-    prefactor = np.exp(-0.5 * channel.gamma * dt * delta_m**2 - 1j * dt * mean_m * phi)
-    scale = np.sqrt(dt / (2.0 * channel.gamma))
-    arg_a, arg_b = (scale * coef * delta.ravel() for coef, delta in zip(coefs, deltas))
-
-    w_prev, change = None, np.inf
-    for order in orders:
-        nodes, weights = _hermgauss(order)
-        osc_a = weights * np.exp(-1j * np.multiply.outer(arg_a, nodes))
-        osc_b = np.exp(-1j * np.multiply.outer(nodes, arg_b))
-        w = prefactor * (osc_a @ osc_b) / np.sqrt(np.pi)
-        if w_prev is not None:
-            change = float(np.abs(w - w_prev).max())
-        w_prev = w
-        if change <= tol:
-            break
-
-    multiplier = w_prev.reshape(c, c, c, c).transpose(0, 2, 1, 3)  # to (a, b, a', b')
-    out = _conjugate(rho_t.reshape(c, c, c, c) * multiplier, bases[0], bases[1])
-    out = 0.5 * (out + out.conj().T)
-    trace = float(np.real(np.trace(out)))
-    return out / trace, (order, change, abs(trace - 1.0))
+    _check_step(space, dt)
+    eye = np.eye(space.cutoff, dtype=complex)
+    return _channel_chain(space, rho, (channel,), dt, eye, eye)
 
 
 def protocol_kraus_step(
@@ -679,14 +681,12 @@ def protocol_kraus_step(
     """One discrete protocol step on the dense state: channels, then unitary.
 
     The local Hamiltonian does not couple the sides, so its unitary is
-    ``U_A (x) U_B`` from two one-mode exponentials, applied mode by mode.
+    ``U_A (x) U_B`` from two one-mode exponentials, applied with the channels
+    as one chain of fused basis changes (:func:`_channel_chain`).
+
+    Returns the new state together with its trace defect.
     """
-    _check_step(dt)
-    worst_defect = 0.0
-    out = rho
-    for ch in protocol.channels:
-        out, (_, _, defect) = kraus_average_step(space, out, ch, dt)
-        worst_defect = max(worst_defect, defect)
+    _check_step(space, dt)
     quadratic = _shared_space(space.cutoff, 1)._quadratic
     h = protocol.local_hamiltonian
     d = protocol.layout.dim_a
@@ -694,8 +694,7 @@ def protocol_kraus_step(
         expm(-1j * dt * quadratic.matrix(local).toarray())
         for local in quadratic.combine([0.5 * h[:d, :d], 0.5 * h[d:, d:]])
     )
-    out = _conjugate(out, u_a, u_b)
-    return 0.5 * (out + out.conj().T), worst_defect
+    return _channel_chain(space, rho, protocol.channels, dt, u_a, u_b)
 
 
 def log_negativity_dense(space: FockSpace, rho: np.ndarray) -> float:

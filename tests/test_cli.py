@@ -265,6 +265,15 @@ def test_unresolvable_step_count_exits_one_without_output(capsys, t, dt):
     assert "Trotter steps than the cap" in captured.err
 
 
+def test_underflowing_trotter_slice_is_named_as_the_cause(capsys):
+    """--dt is positive, but the dt/2 slice 5e-324 / 2 is 0 in double."""
+    cfg = str(CONFIGS / "locc_harmonic.json")
+    assert main(["locc-verify", "--config", cfg, "--t", "5e-324", "--dt", "5e-324"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "dt/2 slice" in captured.err and "underflows to 0" in captured.err
+
+
 def test_locc_verify_infeasible_exits_three(tmp_path, capsys):
     cfg = write_config(tmp_path, model_config(3.0))
     assert main(["locc-verify", "--config", cfg]) == 3

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -113,7 +114,7 @@ def test_kraus_step_matches_gaussian_channel_map():
             side="A", gamma=0.9, vec=vec, lam=0.8,
             feed_vec=np.array([1.0, 0.0]), kappa=0.3,
         )
-        rho, (order, change, defect) = kraus_average_step(space, space.vacuum(), ch, 1e-3)
+        rho, defect = kraus_average_step(space, space.vacuum(), ch, 1e-3)
         dense_cov = extract_covariance(space, rho)
         gauss = channel_step(CovarianceMatrix.vacuum(ModeLayout(1, 1)), ch, 1e-3)
         np.testing.assert_allclose(dense_cov.matrix, gauss.matrix, atol=1e-9)
@@ -124,7 +125,7 @@ def test_kraus_step_on_measured_eigenbasis_is_trace_exact():
     """With no feed-forward the multiplier is diagonal-exact, defect roundoff."""
     space = FockSpace(10, modes=2)
     ch = Rank1Channel(side="B", gamma=1.2, vec=np.array([1.0, 0.0]))
-    _, (_, _, defect) = kraus_average_step(space, space.vacuum(), ch, 5e-3)
+    _, defect = kraus_average_step(space, space.vacuum(), ch, 5e-3)
     assert defect < 1e-12
 
 
@@ -141,19 +142,20 @@ def test_protocol_kraus_step_tracks_the_semigroup():
     assert defect < 1e-9
 
 
+def eigenbasis(cutoff, vec):
+    """Eigenvalues and eigenvectors of ``vec . (x, p)`` on one mode."""
+    one = FockSpace(cutoff, modes=1)
+    return np.linalg.eigh(vec[0] * one.position() + vec[1] * one.momentum())
+
+
 def elementwise_kraus_average(space, rho, channel, dt, tol=1e-12, orders=(20, 40, 60)):
     """Record average with the multiplier built entry by entry on the full space."""
     c = space.cutoff
-    one = FockSpace(c, modes=1)
-
-    def eigenbasis(vec):
-        return np.linalg.eigh(vec[0] * one.position() + vec[1] * one.momentum())
-
-    m_vals, m_basis = eigenbasis(channel.vec)
+    m_vals, m_basis = eigenbasis(c, channel.vec)
     if channel.feed_vec is None:
         f_vals, f_basis = np.zeros(c), np.eye(c)
     else:
-        f_vals, f_basis = eigenbasis(channel.feed_vec)
+        f_vals, f_basis = eigenbasis(c, channel.feed_vec)
     ones = np.ones(c)
     if channel.side == "A":
         basis = np.kron(m_basis, f_basis)
@@ -199,9 +201,8 @@ def test_factored_kraus_average_matches_the_elementwise_multiplier(side, feed, v
         kappa=0.4,
     )
     for dt in (1e-3, 0.2):
-        out, (order, _, _) = kraus_average_step(space, rho, ch, dt)
-        expected, expected_order = elementwise_kraus_average(space, rho, ch, dt)
-        assert order == expected_order
+        out, _ = kraus_average_step(space, rho, ch, dt)
+        expected, _ = elementwise_kraus_average(space, rho, ch, dt)
         assert np.abs(out - expected).max() < 1e-13
 
 
@@ -226,6 +227,65 @@ def test_protocol_unitary_matches_the_dense_exponential():
         expected = u @ expected @ u.conj().T
         stepped, _ = protocol_kraus_step(space, rho, protocol, dt)
         assert np.abs(stepped - expected).max() < 1e-13
+
+
+def test_kraus_average_is_the_exact_record_integral():
+    """Multiplier entries equal the record integral by mpmath quadrature.
+
+    At this long step the record phase reaches ``k ~ 25``, where Gauss-Hermite
+    sums of order 60 do not converge; the entry with equal measured and
+    extreme fed eigenvalues is ``~e^-150`` exactly.
+    """
+    c, dt = 12, 10.0
+    space = FockSpace(c, modes=2)
+    ch = Rank1Channel(
+        side="A", gamma=0.5, vec=np.array([1.0, 0.0]), lam=1.0,
+        feed_vec=np.array([0.0, 1.0]), kappa=1.0,
+    )
+    m_vals, m_basis = eigenbasis(c, ch.vec)
+    f_vals, f_basis = eigenbasis(c, ch.feed_vec)
+    basis = np.kron(m_basis, f_basis)  # joint eigenvectors |a, b>, A measured
+
+    def record_integral(u, v):
+        (a, b), (a2, b2) = u, v
+        delta_m, mean_m = m_vals[a] - m_vals[a2], 0.5 * (m_vals[a] + m_vals[a2])
+        phi = ch.kappa * delta_m + ch.lam * (f_vals[b] - f_vals[b2])
+        k = phi * math.sqrt(dt / (2.0 * ch.gamma))
+        with mpmath.workdps(30):
+            integral = mpmath.quad(
+                lambda y: mpmath.exp(-y * y - 1j * k * y), mpmath.linspace(-12, 12, 49)
+            ) / mpmath.sqrt(mpmath.pi)
+        prefactor = np.exp(-0.5 * ch.gamma * dt * delta_m**2 - 1j * dt * mean_m * phi)
+        return prefactor * complex(integral)
+
+    for u, v in (((5, 0), (5, 11)), ((5, 5), (6, 6)), ((4, 3), (6, 7))):
+        pair = basis[:, [np.ravel_multi_index(w, (c, c)) for w in (u, v)]]
+        # populations 1/2 and coherence 1/4 on |u>, |v>, so <u|out|v> = W_uv / 4
+        rho = pair @ np.array([[0.5, 0.25], [0.25, 0.5]]) @ pair.conj().T
+        out, _ = kraus_average_step(space, rho, ch, dt)
+        entry = pair[:, 0].conj() @ out @ pair[:, 1]
+        assert abs(entry - 0.25 * record_integral(u, v)) < 1e-13
+
+
+def test_protocol_step_changes_basis_once_per_channel_plus_once(monkeypatch):
+    calls = []
+    conjugate = fock._conjugate
+
+    def counted(*args):
+        calls.append(1)
+        return conjugate(*args)
+
+    monkeypatch.setattr(fock, "_conjugate", counted)
+    harmonic = rank1_model(1.0, 2.0, 2.0, h_a=np.eye(2), h_b=np.eye(2))  # locc_harmonic
+    protocol = build_rank1_protocol(harmonic)
+    assert len(protocol.channels) == 2
+    space = FockSpace(6, modes=2)
+    protocol_kraus_step(space, space.vacuum(), protocol, 1e-3)
+    assert len(calls) == 3
+    calls.clear()
+    unitary_only = LoccProtocol(protocol.layout, (), protocol.local_hamiltonian)
+    protocol_kraus_step(space, space.vacuum(), unitary_only, 1e-3)
+    assert len(calls) == 1
 
 
 def test_generic_direction_keeps_one_lindblad_per_noise_direction():
