@@ -40,7 +40,6 @@ from .separability import (
     certificate_first_order,
     log_negativity,
     ppt_multimode,
-    ppt_two_mode,
     stringent_ns_check,
     threshold,
 )

@@ -45,7 +45,6 @@ from .locc import (
 )
 from .separability import (
     MARGIN_TOL,
-    log_negativity,
     ppt_multimode,
     stringent_ns_check,
     threshold,
@@ -294,7 +293,7 @@ def cmd_evolve(args) -> int:
                 [
                     format_value(t_i),
                     format_value(ppt.min_sympl_eig),
-                    format_value(log_negativity(v)),
+                    format_value(ppt.log_negativity),
                     "1" if is_physical(v) else "0",
                 ]
             )
@@ -494,17 +493,19 @@ def evaluate_point(model_dict: dict, spec: SweepSpec, values: tuple) -> list[flo
         set_by_path(local, axis.path, float(value))
     model = model_from_dict(local)
     row = []
-    state = None
+    ppt = None
     if {"nu_tilde_minus", "log_negativity"} & set(spec.outputs):
         gen = build_generator(model)
-        state = evolve(gen, CovarianceMatrix.vacuum(model.layout), spec.time)
+        ppt = ppt_multimode(
+            evolve(gen, CovarianceMatrix.vacuum(model.layout), spec.time)
+        )
     for name in spec.outputs:
         if name == "margin":
             row.append(threshold(model).margin)
         elif name == "nu_tilde_minus":
-            row.append(ppt_multimode(state).min_sympl_eig)
+            row.append(ppt.min_sympl_eig)
         elif name == "log_negativity":
-            row.append(log_negativity(state))
+            row.append(ppt.log_negativity)
         elif name == "feasibility":
             row.append(_feasibility(model))
     return row

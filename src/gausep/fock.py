@@ -34,7 +34,9 @@ path with the Gaussian one.
   the next: one per channel plus one for the local unitary;
 * :func:`log_negativity_dense` evaluates entanglement from the partial
   transpose of the dense state, which keeps the grade of every entry, so
-  for a grade-0 state it diagonalizes the even and odd blocks apart.
+  for a grade-0 state it diagonalizes the even and odd blocks apart; a
+  value within ``NEGATIVITY_ROUNDOFF_ULPS d eps`` of zero is roundoff of a
+  PPT state and is returned as exactly 0.
 
 The truncation is the only systematic error source, so cutoffs should be
 chosen with the leakage report rather than by eye.
@@ -59,6 +61,9 @@ LEAKAGE_LIMIT = 1e-6
 TAYLOR_TOL = 2.0**-54
 # about ten seconds of right-hand sides at cutoff 12, minutes at cutoff 24
 MAX_TAYLOR_PRODUCTS = 10_000
+# |log2 ||rho^T||_1| up to this many d eps (d the space dimension) is the
+# roundoff of eigvalsh on a PPT state, and the log-negativity is reported as 0
+NEGATIVITY_ROUNDOFF_ULPS = 4
 
 
 @dataclass(frozen=True, eq=False)
@@ -715,4 +720,6 @@ def log_negativity_dense(space: FockSpace, rho: np.ndarray) -> float:
         parts = [pt]
     else:
         parts = blocks[0]
-    return float(np.log2(sum(np.abs(np.linalg.eigvalsh(p)).sum() for p in parts)))
+    value = float(np.log2(sum(np.abs(np.linalg.eigvalsh(p)).sum() for p in parts)))
+    band = NEGATIVITY_ROUNDOFF_ULPS * space.dim * np.finfo(float).eps
+    return 0.0 if abs(value) <= band else value

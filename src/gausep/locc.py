@@ -100,7 +100,7 @@ class LoccProtocol:
         h = np.asarray(self.local_hamiltonian, dtype=float)
         if h.shape != (self.layout.dim, self.layout.dim):
             raise ValueError("local Hamiltonian has the wrong dimension")
-        if np.abs(h - h.T).max() > 1e-8 * max(1.0, np.abs(h).max()):
+        if np.abs(h - h.T).max() > 1e-8 * np.abs(h).max():
             raise ValueError("local Hamiltonian form must be symmetric")
         lo = self.layout
         if np.abs(h[: lo.dim_a, lo.dim_a :]).max() > 0.0:
@@ -502,7 +502,7 @@ def ohmic_d_coefficients(model: SystemModel, c2: float) -> MemoryCoefficients:
         norm_sq = float(u_beta @ u_beta)
         coeff = float(response @ u_beta) / norm_sq
         residual = response - coeff * u_beta
-        if np.abs(residual).max() > 1e-10 * max(1.0, np.abs(response).max()):
+        if np.abs(residual).max() > 1e-10 * np.abs(response).max():
             raise ValueError(
                 f"drift response on block {alpha}{beta} leaves the measured ray; "
                 "the memory correction does not apply to this model"

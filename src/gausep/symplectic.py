@@ -130,18 +130,16 @@ class WilliamsonDecomposition:
         return np.repeat(self.nu, 2)
 
 
-def is_physical(v: CovarianceMatrix, tol: float | None = None) -> bool:
+def is_physical(v: CovarianceMatrix) -> bool:
     """Check the uncertainty relation ``V + (i/2) Omega >= 0``.
 
-    ``tol`` is relative to the largest entry of ``V`` (default ``1e-9``): the
-    minimum eigenvalue of the Hermitian test matrix may be as low as
-    ``-tol * max|V|``.
+    The minimum eigenvalue of the Hermitian test matrix may be as low as
+    ``-PSD_TOL * max|V|``.
     """
     m = v.matrix
     if not np.all(np.isfinite(m)):
         return False
-    rel = PSD_TOL if tol is None else tol
-    return bool(physicality_margin(v) >= -rel * np.abs(m).max())
+    return bool(physicality_margin(v) >= -PSD_TOL * np.abs(m).max())
 
 
 def physicality_margin(v: CovarianceMatrix) -> float:

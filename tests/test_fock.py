@@ -44,7 +44,7 @@ from gausep.locc import (
     channel_step,
     effective_generator,
 )
-from gausep.separability import log_negativity, ppt_two_mode
+from gausep.separability import log_negativity, ppt_multimode
 from gausep.symplectic import CovarianceMatrix, ModeLayout
 
 
@@ -319,7 +319,7 @@ def test_dense_log_negativity_matches_gaussian():
     np.testing.assert_allclose(
         log_negativity_dense(space, rho), log_negativity(v), atol=1e-8
     )
-    assert not ppt_two_mode(v).separable
+    assert ppt_multimode(v).npt
 
 
 def test_leakage_guard_trips_on_a_tight_cutoff():

@@ -12,6 +12,7 @@ unresolved instead of judged.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -23,7 +24,12 @@ from gausep.generators import (
     ScalarWhiteNoise,
     SystemModel,
 )
-from gausep.locc import MemoryCoefficients, damped_bound
+from gausep.locc import (
+    LoccProtocol,
+    MemoryCoefficients,
+    damped_bound,
+    ohmic_d_coefficients,
+)
 from gausep.separability import stringent_ns_check, threshold
 from gausep.symplectic import ModeLayout
 
@@ -104,3 +110,33 @@ def test_damped_bound_is_scale_invariant(rates, memory, c):
     )
     assert scaled.satisfied == base.satisfied
 
+
+@pytest.mark.parametrize("c", [1.0, 1e-6, 1e-12])
+def test_protocol_symmetry_check_is_scale_invariant(c):
+    """A local Hamiltonian with relative asymmetry 1e-6 is refused at every scale."""
+    h = np.zeros((4, 4))
+    h[:2, :2] = [[1.0, 0.5], [0.5 + 1e-6, 1.0]]
+    with pytest.raises(ValueError, match="symmetric"):
+        LoccProtocol(LAYOUT, (), c * h)
+    h[1, 0] = 0.5
+    LoccProtocol(LAYOUT, (), c * h)
+
+
+@pytest.mark.parametrize("c", [1.0, 1e-6, 1e-12])
+def test_memory_ray_check_is_scale_invariant(c):
+    """The drift sends x to (1, h_pp): off the measured ray unless h_pp = 0."""
+
+    def model(h_pp):
+        h = c * np.array([[1.0, 1.0], [1.0, h_pp]])
+        x = np.array([1.0, 0.0])
+        return SystemModel(
+            layout=LAYOUT,
+            h_a=h,
+            h_b=h,
+            coupling=Rank1Coupling(c, x, x),
+            noise=ScalarWhiteNoise(2.0 * c, 2.0 * c),
+        )
+
+    with pytest.raises(ValueError, match="leaves the measured ray"):
+        ohmic_d_coefficients(model(1e-6), 0.1)
+    ohmic_d_coefficients(model(0.0), 0.1)

@@ -1,7 +1,11 @@
 """Tests for PPT checks, closed-form bounds, and the first-order certificate."""
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from scipy.linalg import expm
 
 from gausep.dynamics import evolve, perturbative_v, shape_functions
 from gausep.generators import (
@@ -13,17 +17,25 @@ from gausep.generators import (
     build_generator,
 )
 from gausep.separability import (
+    PPT_ROUNDOFF_ULPS,
     BoundKind,
     CertificateFailure,
     SeparabilityCertificate,
     certificate_first_order,
     log_negativity,
     ppt_multimode,
-    ppt_two_mode,
     stringent_ns_check,
     threshold,
 )
-from gausep.symplectic import CovarianceMatrix, ModeLayout
+from gausep.symplectic import (
+    CovarianceMatrix,
+    ModeLayout,
+    build_form,
+    direct_sum,
+    mode_form,
+    partial_transpose,
+    symplectic_spectrum,
+)
 
 
 def two_mode_squeezed(r):
@@ -53,28 +65,28 @@ def rank1_model(k, s_a, s_b, s_ab=0.0, layout=None, h_a=None, h_b=None,
 
 def test_vacuum_is_ppt_separable():
     v = CovarianceMatrix.vacuum(ModeLayout(1, 1))
-    res = ppt_two_mode(v)
-    assert res.separable
+    res = ppt_multimode(v)
+    assert res.verdict == "separable"
     assert log_negativity(v) == 0.0
 
 
 def test_two_mode_squeezed_anchor():
     """At r = 1/2 the PT symplectic minimum is e^-1/2 and E_N is 1/ln 2."""
     v = two_mode_squeezed(0.5)
-    res = ppt_two_mode(v)
-    np.testing.assert_allclose(res.nu_tilde_minus, np.exp(-1.0) / 2, rtol=1e-12)
-    assert not res.separable
+    res = ppt_multimode(v)
+    np.testing.assert_allclose(res.min_sympl_eig, np.exp(-1.0) / 2, rtol=1e-12)
+    assert res.npt
     np.testing.assert_allclose(log_negativity(v), 1.0 / np.log(2.0), rtol=1e-12)
 
 
 def test_ppt_multimode_matches_two_mode_case():
-    v = two_mode_squeezed(0.3)
+    """The two-mode squeezed PT minimum is e^{-2r}/2 in closed form."""
+    r = 0.3
+    v = two_mode_squeezed(r)
     verdict = ppt_multimode(v)
     assert verdict.npt
     assert verdict.verdict == "entangled"
-    np.testing.assert_allclose(
-        verdict.min_sympl_eig, ppt_two_mode(v).nu_tilde_minus, rtol=1e-12
-    )
+    np.testing.assert_allclose(verdict.min_sympl_eig, np.exp(-2 * r) / 2, rtol=1e-12)
 
 
 def test_ppt_multimode_separable_one_vs_many_is_conclusive():
@@ -249,3 +261,119 @@ def test_underflowing_rate_products_are_unresolved():
     with pytest.raises(ValueError, match="unresolved"):
         stringent_ns_check(shapes, 0.0, 0.0, 1e-170)
     assert threshold(rank1_model(0.0, 1e-170, 0.0)).satisfied
+
+
+# -- PPT at laboratory scale ----------------------------------------------------
+
+
+def pt_band(v):
+    return PPT_ROUNDOFF_ULPS * np.finfo(float).eps * np.linalg.norm(
+        partial_transpose(v).matrix, 1
+    )
+
+
+def evolved_vacuum(model, t=1.0):
+    return evolve(build_generator(model), CovarianceMatrix.vacuum(model.layout), t)
+
+
+@pytest.mark.parametrize("k", [1e-8, 1e-10, 1e-12])
+def test_violated_lab_scale_model_is_entangled(k):
+    """s = k/sqrt(2) violates the bound; nu~_min - 1/2 is about -0.67 k^2 s."""
+    verdict = ppt_multimode(evolved_vacuum(harmonic_model(k, k / np.sqrt(2))))
+    assert verdict.verdict == "entangled"
+    assert verdict.log_negativity > 0
+
+
+def mp_pt_deviation(gen, t):
+    """nu~_min - 1/2 of the vacuum evolved by ``gen``, at 40 digits.
+
+    The covariance is ``e^{At} e^{A^T t} / 2`` plus the diffusion integral,
+    both read off one exponential of Van Loan's block matrix
+    ``[[-A, D], [0, A^T]]``.
+    """
+    n = gen.drift.shape[0]
+    with mpmath.workdps(40):
+        c = mpmath.matrix(2 * n)
+        for i in range(n):
+            for j in range(n):
+                c[i, j] = -gen.drift[i, j]
+                c[i, n + j] = gen.diffusion[i, j]
+                c[n + i, n + j] = gen.drift[j, i]
+        e = mpmath.expm(c * t)
+        integral = mpmath.matrix(n)
+        phi_t = mpmath.matrix(n)
+        for i in range(n):
+            for j in range(n):
+                integral[i, j] = e[i, n + j]
+                phi_t[i, j] = e[n + i, n + j]
+        v = phi_t.T * phi_t / 2 + phi_t.T * integral
+        flip = [-1 if i >= n // 2 and i % 2 else 1 for i in range(n)]
+        for i in range(n):
+            for j in range(n):
+                v[i, j] *= flip[i] * flip[j]
+        omega = mpmath.matrix(build_form(gen.layout).tolist())
+        eigs = mpmath.eig(omega * v, left=False, right=False)
+        return float(min(abs(x) for x in eigs) - mpmath.mpf(1) / 2)
+
+
+@pytest.mark.parametrize("k", [1.0, 1e-4, 1e-8, 1e-12])
+@pytest.mark.parametrize("ratio", [1 / np.sqrt(2), np.sqrt(2)])
+def test_pt_deviation_matches_high_precision(k, ratio):
+    """On both sides of s = k, nu~_min - 1/2 is within the band of 40 digits."""
+    model = harmonic_model(k, ratio * k)
+    v = evolved_vacuum(model)
+    verdict = ppt_multimode(v)
+    deviation = verdict.min_sympl_eig - 0.5
+    reference = mp_pt_deviation(build_generator(model), 1.0)
+    assert abs(deviation - reference) <= pt_band(v)
+    assert np.sign(deviation) == np.sign(reference) == np.sign(ratio - 1)
+    assert verdict.npt == (ratio < 1)
+
+
+def symplectic_map(h):
+    """``exp(Omega H)`` for symmetric ``H``, a symplectic matrix."""
+    return expm(mode_form(h.shape[0] // 2) @ (h + h.T))
+
+
+def symmetric(dim, bound):
+    entries = st.lists(
+        st.floats(-bound, bound), min_size=dim * dim, max_size=dim * dim
+    )
+    return st.builds(lambda e: np.reshape(e, (dim, dim)), entries)
+
+
+@st.composite
+def gaussian_states(draw):
+    """Thermal states under an entangling map, some within the band of PPT."""
+    layout = ModeLayout(*draw(st.sampled_from([(1, 1), (1, 2), (2, 2)])))
+    nu = draw(
+        st.lists(
+            st.one_of(st.just(0.5), st.floats(0.5, 3.0)),
+            min_size=layout.n_modes,
+            max_size=layout.n_modes,
+        )
+    )
+    strength = draw(st.sampled_from([0.0, 1e-16, 1e-14, 1e-12, 1e-8, 1e-3, 0.5]))
+    s = symplectic_map(strength * draw(symmetric(layout.dim, 1.0)))
+    return CovarianceMatrix(s @ np.diag(np.repeat(nu, 2)) @ s.T, layout)
+
+
+@given(gaussian_states())
+def test_log_negativity_is_positive_exactly_when_npt(v):
+    verdict = ppt_multimode(v)
+    assert (log_negativity(v) > 0) == verdict.npt
+    assert verdict.log_negativity == log_negativity(v)
+
+
+@given(gaussian_states(), st.data())
+def test_pt_spectrum_is_invariant_under_local_symplectic_maps(v, data):
+    lo = v.layout
+    s = direct_sum(
+        symplectic_map(data.draw(symmetric(lo.dim_a, 0.5))),
+        symplectic_map(data.draw(symmetric(lo.dim_b, 0.5))),
+    )
+    moved = CovarianceMatrix(s @ v.matrix @ s.T, lo)
+    spectrum = symplectic_spectrum(partial_transpose(v))
+    np.testing.assert_allclose(
+        symplectic_spectrum(partial_transpose(moved)), spectrum, rtol=1e-10
+    )
