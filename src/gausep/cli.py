@@ -260,7 +260,10 @@ def _initial_state(data: dict, layout) -> CovarianceMatrix:
         raise ConfigError(
             f"initial covariance must be {layout.dim}x{layout.dim}, got {mat.shape}"
         )
-    return CovarianceMatrix(0.5 * (mat + mat.T), layout)
+    try:
+        return CovarianceMatrix(0.5 * (mat + mat.T), layout)
+    except ValueError as exc:
+        raise ConfigError(f"initial_covariance: {exc}") from exc
 
 
 def cmd_evolve(args) -> int:
@@ -273,7 +276,7 @@ def cmd_evolve(args) -> int:
     if args.steps < 1:
         raise ConfigError("--steps must be at least 1")
     # one exact transition over t/steps, iterated row to row
-    phi, acc = transition_blocks(gen.drift, gen.diffusion, args.t / args.steps)
+    step = transition_blocks(gen.drift, gen.diffusion, args.t / args.steps)
     stream, owned = _open_out(args.out)
     try:
         writer = _csv_writer(stream)
@@ -282,12 +285,7 @@ def cmd_evolve(args) -> int:
         for i in range(args.steps + 1):
             t_i = args.t * i / args.steps
             if i:
-                m = phi @ v.matrix @ phi.T + acc
-                if not np.all(np.isfinite(m)):
-                    raise ValueError(
-                        "covariance propagation produced non-finite entries"
-                    )
-                v = CovarianceMatrix(m, model.layout)
+                v = CovarianceMatrix(step.apply(v.matrix), model.layout)
             ppt = ppt_multimode(v)
             writer.writerow(
                 [

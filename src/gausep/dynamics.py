@@ -6,10 +6,11 @@ Second moments of a quadratic master equation obey
     Phi(t) = exp(A t),   G(t) = int_0^t Phi(u) D Phi(u)^T du.
 
 ``Phi`` and the accumulated noise ``G`` are computed exactly from a single
-block matrix exponential (the augmented-exponential identity), so ``evolve``
-has no step error; its ``steps`` argument only chunks the interval for
-conditioning.  Matrix exponentials use scaling-and-squaring with a degree-13
-Pade approximant (``scipy.linalg.expm``).
+block matrix exponential (Van Loan, IEEE TAC 23, 395 (1978)), so ``evolve``
+has no step error.  The pair is a :class:`GaussianMap`, the one affine
+covariance map of the package: the exact flow, the LOCC protocol steps and
+their compositions and powers are all of this form.  Matrix exponentials use
+scaling-and-squaring with a degree-13 Pade approximant (``scipy.linalg.expm``).
 
 The module also provides the weak-coupling first-order picture used by the
 separability certificate: starting from a pure product state with per-side
@@ -21,6 +22,7 @@ the covariance stays ``I/2`` plus first-order coupling and noise integrals.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.integrate import simpson
@@ -57,53 +59,67 @@ class ParallelConditionError(ValueError):
         )
 
 
-def transition_blocks(drift: np.ndarray, diffusion: np.ndarray, t: float):
-    """Exact ``(Phi, G)`` for constant drift and diffusion via one expm."""
-    n = drift.shape[0]
-    aug = np.zeros((2 * n, 2 * n))
-    aug[:n, :n] = drift
-    aug[:n, n:] = diffusion
-    aug[n:, n:] = -drift.T
-    e = expm(aug * t)
-    phi = e[:n, :n]
-    acc = e[:n, n:] @ phi.T
-    return phi, 0.5 * (acc + acc.T)
+class GaussianMap(NamedTuple):
+    """The affine covariance map ``V -> S V S^T + N``."""
+
+    s: np.ndarray
+    n: np.ndarray
+
+    def apply(self, v: np.ndarray) -> np.ndarray:
+        """``S V S^T + N``, symmetrized."""
+        m = self.s @ v @ self.s.T + self.n
+        return 0.5 * (m + m.T)
+
+    def then(self, second: "GaussianMap") -> "GaussianMap":
+        """This map followed by ``second``: ``(S2 S1, S2 N1 S2^T + N2)``."""
+        return GaussianMap(second.s @ self.s, second.apply(self.n))
+
+    def apply_power(self, v: np.ndarray, k: int) -> np.ndarray:
+        """``k`` applications to ``v`` by binary powering: ``popcount(k)``
+        applications and ``floor(log2 k)`` squarings, so the cost and the
+        roundoff they add are logarithmic in ``k``."""
+        power = self
+        while True:
+            if k & 1:
+                v = power.apply(v)
+            k >>= 1
+            if not k:
+                return v
+            power = power.then(power)
 
 
-def cross_integral(a: np.ndarray, q: np.ndarray, b: np.ndarray, t: float) -> np.ndarray:
-    """Exact ``int_0^t exp(a s) q exp(b s) ds`` via an augmented exponential."""
+def _van_loan(a: np.ndarray, q: np.ndarray, b: np.ndarray, t: float):
+    """``(exp(a t), F12)``, blocks of ``exp([[a, q], [0, -b]] t)``, where
+    ``F12 = int_0^t exp(a (t - s)) q exp(-b s) ds``."""
     n, m = q.shape
     aug = np.zeros((n + m, n + m))
     aug[:n, :n] = a
     aug[:n, n:] = q
     aug[n:, n:] = -b
-    f12 = expm(aug * t)[:n, n:]
-    return f12 @ expm(b * t)
+    e = expm(aug * t)
+    return e[:n, :n], e[:n, n:]
 
 
-def evolve(
-    gen: GkslGenerator, v0: CovarianceMatrix, t: float, steps: int = 1
-) -> CovarianceMatrix:
-    """Propagate a covariance matrix for time ``t``.
+def transition_blocks(drift: np.ndarray, diffusion: np.ndarray, t: float) -> GaussianMap:
+    """Exact ``(Phi, G)`` for constant drift and diffusion via one expm."""
+    phi, f12 = _van_loan(drift, diffusion, drift.T, t)
+    acc = f12 @ phi.T
+    return GaussianMap(phi, 0.5 * (acc + acc.T))
 
-    ``steps`` splits the interval into equal exact sub-steps; it exists purely
-    for numerical conditioning and doubling it changes the result only at
-    roundoff level.
-    """
+
+def cross_integral(a: np.ndarray, q: np.ndarray, b: np.ndarray, t: float) -> np.ndarray:
+    """Exact ``int_0^t exp(a s) q exp(b s) ds`` via an augmented exponential."""
+    return _van_loan(a, q, b, t)[1] @ expm(b * t)
+
+
+def evolve(gen: GkslGenerator, v0: CovarianceMatrix, t: float) -> CovarianceMatrix:
+    """Propagate a covariance matrix for time ``t`` by one exact map."""
     if v0.layout != gen.layout:
         raise ValueError("layout mismatch between generator and state")
     if t < 0:
         raise ValueError("t must be nonnegative")
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
-    phi, acc = transition_blocks(gen.drift, gen.diffusion, t / steps)
-    m = v0.matrix
-    for _ in range(steps):
-        m = phi @ m @ phi.T + acc
-        m = 0.5 * (m + m.T)
-    if not np.all(np.isfinite(m)):
-        raise ValueError("covariance propagation produced non-finite entries")
-    return CovarianceMatrix(m, gen.layout)
+    step = transition_blocks(gen.drift, gen.diffusion, t)
+    return CovarianceMatrix(step.apply(v0.matrix), gen.layout)
 
 
 # -- first-order picture ------------------------------------------------------
@@ -248,8 +264,9 @@ def first_order_terms(
     lo = model.layout
     s_a, s_b, w_a, w_b, mprime_a, mprime_b = _rotated_frame(model, v0)
 
-    _, p_a = transition_blocks(mprime_a.T, np.outer(w_a, w_a), t)
-    _, p_b = transition_blocks(mprime_b.T, np.outer(w_b, w_b), t)
+    # the side propagators are exp(M'^T t), the transposed free rotations
+    flow_a, p_a = transition_blocks(mprime_a.T, np.outer(w_a, w_a), t)
+    flow_b, p_b = transition_blocks(mprime_b.T, np.outer(w_b, w_b), t)
     w_ab = cross_integral(mprime_a.T, np.outer(w_a, w_b), mprime_b, t)
 
     eta_a = mode_form(lo.n_a)
@@ -277,8 +294,8 @@ def first_order_terms(
         w_b=w_b,
         mprime_a=mprime_a,
         mprime_b=mprime_b,
-        rotation_a=expm(mprime_a * t),
-        rotation_b=expm(mprime_b * t),
+        rotation_a=flow_a.T,
+        rotation_b=flow_b.T,
         p_a=p_a,
         p_b=p_b,
         w_ab=w_ab,

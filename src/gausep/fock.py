@@ -54,7 +54,7 @@ from scipy.linalg import expm
 from scipy.sparse import _sparsetools
 
 from .generators import SystemModel, hamiltonian_form, noise_form
-from .locc import LoccProtocol, Rank1Channel
+from .locc import LoccProtocol, Rank1Channel, _check_dt
 from .symplectic import CovarianceMatrix, ModeLayout
 
 LEAKAGE_LIMIT = 1e-6
@@ -598,8 +598,7 @@ def _conjugate(rho: np.ndarray, u_a: np.ndarray, u_b: np.ndarray) -> np.ndarray:
 def _check_step(space: FockSpace, dt: float) -> None:
     if space.modes != 2:
         raise ValueError("channel averaging needs the two-mode space")
-    if not (math.isfinite(dt) and dt > 0):
-        raise ValueError(f"dt must be finite and positive, got {dt}")
+    _check_dt(dt)
 
 
 def _channel_factors(one: FockSpace, channel: Rank1Channel, dt: float):

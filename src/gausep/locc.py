@@ -27,11 +27,13 @@ variant to whitened singular channels.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import expm
 
+from .dynamics import GaussianMap
 from .generators import (
     GkslGenerator,
     SystemModel,
@@ -194,26 +196,18 @@ def _embed(vec: np.ndarray, side: str, layout: ModeLayout) -> np.ndarray:
     return out
 
 
-def _channel_vectors(ch: Rank1Channel, layout: ModeLayout):
-    """Measured and feed directions embedded in the full phase space."""
-    m = _embed(ch.vec, ch.side, layout)
-    f = None
-    if ch.feed_vec is not None:
-        f = _embed(ch.feed_vec, "B" if ch.side == "A" else "A", layout)
-    return m, f
-
-
 def channel_forms(ch: Rank1Channel, layout: ModeLayout):
     """Average drift and noise form of a single channel.
 
     The drift is one-sided (only the fed side is displaced), so it is not of
     Hamiltonian shape on its own; balanced channel pairs sum to one.
     """
-    m, f = _channel_vectors(ch, layout)
+    m = _embed(ch.vec, ch.side, layout)
     omega = build_form(layout)
     a = ch.kappa * np.outer(omega @ m, m)
     q = (ch.gamma + ch.kappa**2 / (4.0 * ch.gamma)) * np.outer(m, m)
-    if f is not None:
+    if ch.feed_vec is not None:
+        f = _embed(ch.feed_vec, "B" if ch.side == "A" else "A", layout)
         a = a + ch.lam * np.outer(omega @ f, m)
         q = q + ch.lam**2 / (4.0 * ch.gamma) * np.outer(f, f)
         cross = ch.lam * ch.kappa / (4.0 * ch.gamma)
@@ -360,69 +354,43 @@ def synthesize_general(
     )
 
 
-def channel_step(
-    v: CovarianceMatrix, ch: Rank1Channel, dt: float, layout: ModeLayout | None = None
-) -> CovarianceMatrix:
-    """Exact covariance map of one finite-time channel application.
+def _check_dt(dt: float) -> None:
+    if not (math.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt must be finite and positive, got {dt}")
 
-    The discrete channel is a minimal Gaussian measurement with imprecision
-    ``1/(4 gamma dt)`` followed by record-proportional displacements, which is
-    a Gaussian channel for any ``dt``; no small-step expansion is involved.
+
+def _channel_map(ch: Rank1Channel, layout: ModeLayout, dt: float) -> GaussianMap:
+    """Exact map ``(I + dt A_ch, dt Omega Q_ch Omega^T)`` of one channel for any ``dt``.
+
+    A minimal Gaussian measurement of ``m`` (imprecision ``1/(4 gamma dt)``,
+    backaction ``gamma dt b b^T``, ``b = Omega m``) and the record kick
+    ``d = dt (kappa Omega m + lam Omega f)`` give ``G = I + d m^T`` and
+    ``N = gamma dt b b^T + d d^T / (4 gamma dt)``: the form above with the
+    :func:`channel_forms` ``(A_ch, Q_ch)``.  ``G b = b`` and ``A_ch^2 = 0``,
+    since ``m^T Omega m = m^T Omega f = 0``.
     """
-    lo = layout if layout is not None else v.layout
-    m, back, d = _channel_kick(ch, lo, dt)
-    mid = v.matrix + ch.gamma * dt * np.outer(back, back)
-    gain = np.eye(lo.dim) + np.outer(d, m)
-    out = gain @ mid @ gain.T + np.outer(d, d) / (4.0 * ch.gamma * dt)
-    return CovarianceMatrix(0.5 * (out + out.T), lo)
-
-
-def _channel_kick(ch: Rank1Channel, layout: ModeLayout, dt: float):
-    """Measured direction ``m``, backaction ``Omega m`` and record kick ``d``."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    _check_dt(dt)
+    a, q = channel_forms(ch, layout)
     omega = build_form(layout)
-    m, f = _channel_vectors(ch, layout)
-    back = omega @ m
-    d = dt * ch.kappa * back
-    if f is not None:
-        d = d + dt * ch.lam * (omega @ f)
-    return m, back, d
+    return GaussianMap(np.eye(layout.dim) + dt * a, dt * (omega @ q @ omega.T))
 
 
-def _compose(second, first):
-    """The affine map ``first`` followed by ``second``.
-
-    Maps are ``(S, N)`` acting as ``V -> S V S^T + N``, so
-    ``(S2, N2) o (S1, N1) = (S2 S1, S2 N1 S2^T + N2)``; the noise part is
-    symmetrized.  A covariance matrix ``V`` is the constant map ``(0, V)``.
-    """
-    s2, n2 = second
-    s1, n1 = first
-    n = s2 @ n1 @ s2.T + n2
-    return s2 @ s1, 0.5 * (n + n.T)
+def channel_step(v: CovarianceMatrix, ch: Rank1Channel, dt: float) -> CovarianceMatrix:
+    """Exact covariance map of one finite-time channel application."""
+    return CovarianceMatrix(_channel_map(ch, v.layout, dt).apply(v.matrix), v.layout)
 
 
-def _affine_step(protocol: LoccProtocol, dt: float):
-    """``(S, N)`` with one protocol step equal to ``V -> S V S^T + N``.
-
-    Channel ``k`` is the map ``(G_k, N_k)`` with ``G_k = I + d m^T`` and
-    ``N_k = gamma dt b b^T + d d^T / (4 gamma dt)``, ``b = Omega m``; the
-    backaction passes the gain unchanged because ``m^T Omega m = 0``.  The
-    channels compose in order by :func:`_compose`, then the local unitary
-    ``(exp(Omega H dt), 0)``.
-    """
+def _affine_step(protocol: LoccProtocol, dt: float) -> GaussianMap:
+    """One protocol step: every channel's map in order, then the local unitary
+    ``(exp(Omega H dt), 0)``."""
+    _check_dt(dt)
     lo = protocol.layout
     zero = np.zeros((lo.dim, lo.dim))
-    step = (np.eye(lo.dim), zero)
+    step = GaussianMap(np.eye(lo.dim), zero)
     for ch in protocol.channels:
-        m, back, d = _channel_kick(ch, lo, dt)
-        gain = np.eye(lo.dim) + np.outer(d, m)
-        noise = ch.gamma * dt * np.outer(back, back)
-        noise += np.outer(d, d) / (4.0 * ch.gamma * dt)
-        step = _compose((gain, noise), step)
+        step = step.then(_channel_map(ch, lo, dt))
     s_loc = expm(build_form(lo) @ protocol.local_hamiltonian * dt)
-    return _compose((s_loc, zero), step)
+    return step.then(GaussianMap(s_loc, zero))
 
 
 def protocol_step(v: CovarianceMatrix, protocol: LoccProtocol, dt: float) -> CovarianceMatrix:
@@ -439,23 +407,13 @@ def run_protocol(
 ) -> CovarianceMatrix:
     """Apply :func:`protocol_step` ``steps`` times over equal slices of ``t``.
 
-    The step is one fixed affine map, so its ``steps``-fold power is taken by
-    binary powering: the state takes the map's ``2^j``-th power for every
-    set bit ``j`` of ``steps``, and the map is squared in between, at most
-    ``2 log2(steps) + 1`` calls of :func:`_compose` in all.  The cost is
-    logarithmic in ``steps``, and so is the roundoff the compositions add.
+    The step is one fixed :class:`GaussianMap`, so its ``steps``-fold power
+    is taken by binary powering, in ``O(log steps)`` compositions.
     """
     if steps < 1:
         raise ValueError("steps must be at least 1")
-    power = _affine_step(protocol, t / steps)
-    state = (np.zeros_like(v0.matrix), v0.matrix)
-    while True:
-        if steps & 1:
-            state = _compose(power, state)
-        steps >>= 1
-        if not steps:
-            return CovarianceMatrix(state[1], protocol.layout)
-        power = _compose(power, power)
+    step = _affine_step(protocol, t / steps)
+    return CovarianceMatrix(step.apply_power(v0.matrix, steps), protocol.layout)
 
 
 # -- damped (memory-corrected) bound ------------------------------------------

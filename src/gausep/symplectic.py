@@ -96,6 +96,8 @@ class CovarianceMatrix:
 
     def __post_init__(self) -> None:
         m = _check_square(self.matrix, self.layout.dim, "covariance matrix")
+        if not np.all(np.isfinite(m)):
+            raise ValueError("covariance matrix entries must be finite")
         scale = max(1.0, np.abs(m).max())
         if np.abs(m - m.T).max() > 1e-8 * scale:
             raise ValueError("covariance matrix is not symmetric")
@@ -136,10 +138,7 @@ def is_physical(v: CovarianceMatrix) -> bool:
     The minimum eigenvalue of the Hermitian test matrix may be as low as
     ``-PSD_TOL * max|V|``.
     """
-    m = v.matrix
-    if not np.all(np.isfinite(m)):
-        return False
-    return bool(physicality_margin(v) >= -PSD_TOL * np.abs(m).max())
+    return bool(physicality_margin(v) >= -PSD_TOL * np.abs(v.matrix).max())
 
 
 def physicality_margin(v: CovarianceMatrix) -> float:

@@ -499,6 +499,18 @@ def test_non_finite_bound_parameter_exits_one(tmp_path, capsys, extra):
     assert "finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_non_finite_initial_covariance_exits_one_before_output(tmp_path, capsys, value):
+    payload = model_config(1.0)
+    payload["initial_covariance"] = np.diag([0.5, 0.5, value, 0.5]).tolist()
+    cfg = write_config(tmp_path, payload)
+    assert main(["evolve", "--config", cfg, "--t", "0.1", "--steps", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "initial_covariance" in captured.err
+    assert "finite" in captured.err
+
+
 @pytest.mark.parametrize("command", ["threshold", "locc-verify"])
 @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1e-3"])
 def test_invalid_tolerance_exits_one_before_any_verdict(tmp_path, capsys, command, tol):

@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from gausep.dynamics import (
+    GaussianMap,
     ParallelConditionError,
     RegimeError,
     check_perturbative_window,
@@ -77,6 +80,57 @@ def test_evolve_semigroup_property():
     once = evolve(gen, v0, 0.9)
     split = evolve(gen, evolve(gen, v0, 0.5), 0.4)
     np.testing.assert_allclose(once.matrix, split.matrix, atol=1e-12)
+
+
+SEEDS = st.integers(0, 2**32 - 1)
+DIMS = st.sampled_from([2, 4, 6])
+
+
+def random_psd(rng, dim, scale=1.0):
+    r = rng.standard_normal((dim, dim))
+    return scale * (r @ r.T) / dim
+
+
+def random_map(rng, dim):
+    """A map with ``||S||_2 <= 1``, so its powers stay bounded."""
+    s = rng.standard_normal((dim, dim))
+    return GaussianMap(s / np.linalg.norm(s, 2), random_psd(rng, dim, 0.1))
+
+
+@given(SEEDS, DIMS)
+def test_then_is_application_in_turn(seed, dim):
+    rng = np.random.default_rng(seed)
+    m1, m2 = random_map(rng, dim), random_map(rng, dim)
+    v = random_psd(rng, dim)
+    expected = m2.apply(m1.apply(v))
+    tol = 8 * dim * np.finfo(float).eps * np.abs(expected).max()
+    assert np.abs(m1.then(m2).apply(v) - expected).max() <= tol
+
+
+@given(SEEDS, DIMS, st.integers(0, 64))
+def test_apply_power_is_repeated_application(seed, dim, k):
+    rng = np.random.default_rng(seed)
+    step = random_map(rng, dim)
+    v = random_psd(rng, dim)
+    expected, largest = v, np.abs(v).max()
+    for _ in range(k):
+        expected = step.apply(expected)
+        largest = max(largest, np.abs(expected).max())
+    tol = k * np.finfo(float).eps * largest
+    assert np.abs(step.apply_power(v, k) - expected).max() <= tol
+
+
+@given(SEEDS, st.floats(0.0, 0.5), st.floats(0.0, 0.5))
+def test_transition_maps_compose_over_time(seed, t1, t2):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((4, 4))
+    d = random_psd(rng, 4)
+    joined = transition_blocks(a, d, t1).then(transition_blocks(a, d, t2))
+    whole = transition_blocks(a, d, t1 + t2)
+    for part, ref in zip(joined, whole):
+        # below the smallest normal double only underflow is left to compare
+        tol = 4e-12 * np.abs(ref).max() + np.finfo(float).tiny
+        np.testing.assert_allclose(part, ref, rtol=0, atol=tol)
 
 
 def test_evolve_t_zero_is_identity():

@@ -43,6 +43,7 @@ from gausep.locc import (
     build_rank1_protocol,
     channel_step,
     effective_generator,
+    protocol_step,
 )
 from gausep.separability import log_negativity, ppt_multimode
 from gausep.symplectic import CovarianceMatrix, ModeLayout
@@ -766,7 +767,11 @@ def test_channel_steps_reject_a_non_finite_or_nonpositive_dt(dt):
     space = FockSpace(6, modes=2)
     with pytest.raises(ValueError, match="finite and positive"):
         kraus_average_step(space, space.vacuum(), protocol.channels[0], dt)
+    with pytest.raises(ValueError, match="finite and positive"):
+        channel_step(CovarianceMatrix.vacuum(model.layout), protocol.channels[0], dt)
     unitary_only = LoccProtocol(model.layout, (), protocol.local_hamiltonian)
     for p in (protocol, unitary_only):
         with pytest.raises(ValueError, match="finite and positive"):
             protocol_kraus_step(space, space.vacuum(), p, dt)
+        with pytest.raises(ValueError, match="finite and positive"):
+            protocol_step(CovarianceMatrix.vacuum(model.layout), p, dt)

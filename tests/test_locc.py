@@ -7,7 +7,7 @@ import pytest
 from scipy.linalg import expm
 
 from gausep import locc
-from gausep.dynamics import evolve
+from gausep.dynamics import GaussianMap, evolve
 from gausep.generators import (
     GeneralCoupling,
     MatrixWhiteNoise,
@@ -197,7 +197,7 @@ def channel_by_channel(v, protocol, t, steps):
     s_loc = expm(build_form(protocol.layout) @ protocol.local_hamiltonian * dt)
     for _ in range(steps):
         for ch in protocol.channels:
-            v = channel_step(v, ch, dt, protocol.layout)
+            v = channel_step(v, ch, dt)
         v = CovarianceMatrix(s_loc @ v.matrix @ s_loc.T, protocol.layout)
     return v
 
@@ -257,17 +257,32 @@ def test_run_protocol_equals_repeated_protocol_steps(steps):
 def test_run_protocol_composes_logarithmically_often(monkeypatch, steps):
     protocol = rank1_and_general_protocols()[0]
     step = locc._affine_step(protocol, 0.1 / steps)
-    calls = []
+    calls = {"then": 0, "apply": 0}
 
-    def counted(second, first):
-        calls.append(1)
-        return compose(second, first)
+    def counted(name):
+        method = getattr(GaussianMap, name)
 
-    compose = locc._compose
+        def wrapper(*args):
+            calls[name] += 1
+            return method(*args)
+
+        return wrapper
+
     monkeypatch.setattr(locc, "_affine_step", lambda *args: step)
-    monkeypatch.setattr(locc, "_compose", counted)
+    for name in calls:
+        monkeypatch.setattr(GaussianMap, name, counted(name))
     run_protocol(CovarianceMatrix.vacuum(protocol.layout), protocol, 0.1, steps)
-    assert len(calls) <= 2 * math.ceil(math.log2(steps)) + 1
+    # each squaring applies the map to its own noise once
+    assert calls["then"] <= math.floor(math.log2(steps))
+    assert calls["apply"] - calls["then"] == bin(steps).count("1")
+
+
+def test_channel_drift_squares_to_zero():
+    """``A_ch^2 = 0``: ``I + dt A_ch`` is the exact exponential of the channel drift."""
+    for protocol in rank1_and_general_protocols():
+        for ch in protocol.channels:
+            a, _ = locc.channel_forms(ch, protocol.layout)
+            assert np.abs(a @ a).max() <= 4 * np.finfo(float).eps * np.abs(a).max() ** 2
 
 
 def test_billion_steps_match_the_effective_semigroup():
