@@ -275,6 +275,11 @@ def cmd_evolve(args) -> int:
         raise ConfigError("--t must be nonnegative")
     if args.steps < 1:
         raise ConfigError("--steps must be at least 1")
+    # refuse an overflowing run before any row; each row's finite check stays
+    with np.errstate(over="ignore", invalid="ignore"):
+        end = transition_blocks(gen.drift, gen.diffusion, args.t).apply(v0.matrix)
+    if not np.isfinite(end).all():
+        raise ValueError(f"the covariance overflows before --t = {args.t:g}")
     # one exact transition over t/steps, iterated row to row
     step = transition_blocks(gen.drift, gen.diffusion, args.t / args.steps)
     stream, owned = _open_out(args.out)

@@ -17,15 +17,20 @@ separability certificate: starting from a pure product state with per-side
 Williamson transforms ``S_i``, every quantity is mapped to the doubly rotated
 frame (first by ``S``, then by the free local rotation ``exp(M' t)``) where
 the covariance stays ``I/2`` plus first-order coupling and noise integrals.
+
+Under restricted (ray-preserving) local dynamics each rotated coupling vector
+is a real eigenvector of ``M'^T``, so the shape overlap behind the sharpened
+bound is a closed form in the two eigenvalues (:class:`ShapeFunctions`); a
+side whose vector turns more than ``RAY_TOL`` off its ray is refused.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.integrate import simpson
 from scipy.linalg import expm
 
 from .generators import GkslGenerator, SystemModel, local_drift_blocks
@@ -41,6 +46,9 @@ from .symplectic import (
 # picture to be meaningful
 PERTURBATIVE_GUARD = 0.1
 _PURE_TOL = 1e-8
+# largest first-order angle off its ray a rotated coupling vector may reach
+# over the horizon (see shape_functions)
+RAY_TOL = 1e-8
 
 
 class RegimeError(ValueError):
@@ -321,91 +329,68 @@ def perturbative_v(
 # -- restricted-dynamics shape functions --------------------------------------
 
 
+def _exp_integral_scaled(r: float, t: float) -> float:
+    """``J(r) = exp(-max(r, 0) t) int_0^t exp(r s) ds``, which lies in
+    ``(0, t]`` for every finite ``r`` and never overflows."""
+    if r == 0.0:
+        return t
+    return -math.expm1(-abs(r) * t) / abs(r)
+
+
 @dataclass(frozen=True, eq=False)
 class ShapeFunctions:
     """Scalar shape functions of restricted (ray-preserving) local dynamics.
 
-    When the rotated coupling vectors stay on their initial rays,
-    ``v_i(s) = f_i(s) w_i``, the first-order state is characterized by the
-    overlap integrals of ``f_a`` and ``f_b`` alone.  ``rho_sq`` is the squared
-    normalized overlap ``I_ab^2 / (I_aa I_bb)`` and lies in ``[0, 1]``.
+    A rotated coupling vector ``v_i(s) = exp(M_i'^T s) w_i`` stays on its
+    initial ray for every ``s`` exactly when ``w_i`` is a real eigenvector of
+    ``M_i'^T``; its shape is then ``f_i(s) = exp(rate_i s)``.  With
+    ``I(r) = int_0^t exp(r s) ds``, the squared normalized overlap
+
+        rho_sq = I(rate_a + rate_b)^2 / (I(2 rate_a) I(2 rate_b))
+
+    lies in ``[0, 1]`` by Cauchy-Schwarz.  Each ``I`` is evaluated with its
+    exponential growth factored out, so ``rho_sq`` is exactly one when the
+    rates agree and finite at every finite horizon.
     """
 
-    times: np.ndarray
-    f_a: np.ndarray
-    f_b: np.ndarray
-    integral_aa: float
-    integral_bb: float
-    integral_ab: float
+    rate_a: float
+    rate_b: float
+    t: float
     rho_sq: float
 
     @classmethod
-    def from_samples(
-        cls, times: np.ndarray, f_a: np.ndarray, f_b: np.ndarray
-    ) -> "ShapeFunctions":
-        """Build from sampled shape functions via composite Simpson weights."""
-        times = np.asarray(times, dtype=float)
-        f_a = np.asarray(f_a, dtype=float)
-        f_b = np.asarray(f_b, dtype=float)
-        if times.ndim != 1 or times.size < 3:
-            raise ValueError("need at least three sample times")
-        if f_a.shape != times.shape or f_b.shape != times.shape:
-            raise ValueError("shape function samples must match the time grid")
-        i_aa = float(simpson(f_a * f_a, x=times))
-        i_bb = float(simpson(f_b * f_b, x=times))
-        i_ab = float(simpson(f_a * f_b, x=times))
-        denom = i_aa * i_bb
-        rho_sq = float(i_ab**2 / denom) if denom > 0 else 0.0
-        return cls(
-            times=times,
-            f_a=f_a,
-            f_b=f_b,
-            integral_aa=i_aa,
-            integral_bb=i_bb,
-            integral_ab=i_ab,
-            rho_sq=rho_sq,
-        )
+    def of_rates(cls, rate_a: float, rate_b: float, t: float) -> "ShapeFunctions":
+        """Shapes ``exp(rate_a s)`` and ``exp(rate_b s)`` on ``[0, t]``."""
+        a, b, c = 2 * rate_a, 2 * rate_b, rate_a + rate_b
+        j_a, j_b, j_c = (_exp_integral_scaled(r, t) for r in (a, b, c))
+        # 2 max(c, 0) <= max(a, 0) + max(b, 0): the exponent is never positive
+        growth = math.exp(t * (2 * max(c, 0.0) - max(a, 0.0) - max(b, 0.0)))
+        rho_sq = (j_c / j_a) * (j_c / j_b) * growth
+        return cls(rate_a=float(rate_a), rate_b=float(rate_b), t=float(t), rho_sq=rho_sq)
 
 
 def shape_functions(
-    model: SystemModel,
-    t: float,
-    samples: int = 201,
-    v0: CovarianceMatrix | None = None,
-    tol_parallel: float = 1e-8,
+    model: SystemModel, t: float, v0: CovarianceMatrix | None = None
 ) -> ShapeFunctions:
-    """Extract ``f_a``, ``f_b`` from the model's restricted local dynamics.
+    """Growth rates of the model's restricted local dynamics on ``[0, t]``.
 
-    Raises :class:`ParallelConditionError` when the rotated coupling vector of
-    either side leaves its ray by more than ``tol_parallel`` (relative cross
-    component), reporting the maximum deviation angle.  The shapes depend only
-    on the free local rotations, so no perturbative window applies here.
+    Per side the rate is the Rayleigh quotient ``u^T M'^T u`` on the unit
+    coupling direction ``u``.  The side is refused with
+    :class:`ParallelConditionError` when ``t ||M'^T u - rate u||``, the
+    first-order angle by which ``v(t)`` leaves its ray, exceeds ``RAY_TOL``.
+    The shapes depend only on the free local rotations, so no perturbative
+    window applies here.
     """
     if not 0.0 < t < np.inf:
         raise ValueError("t must be positive and finite")
     _, _, w_a, w_b, mprime_a, mprime_b = _rotated_frame(model, v0)
-    if samples < 3:
-        raise ValueError("samples must be >= 3")
-    if samples % 2 == 0:
-        samples += 1  # composite Simpson wants an even interval count
-    times = np.linspace(0.0, t, samples)
-
-    fs = []
+    rates = []
     for side, mprime, w in (("A", mprime_a, w_a), ("B", mprime_b, w_b)):
-        # on the uniform grid sample j is E^j w with E = expm(M'^T dt); each
-        # round appends E^(2^k) times the rows so far, doubling them
-        power = expm(mprime.T * (times[1] - times[0]))
-        vecs = w[None, :]
-        while len(vecs) < samples:
-            vecs = np.vstack([vecs, vecs @ power.T])
-            power = power @ power
-        vecs = vecs[:samples]
-        norm_w = float(np.linalg.norm(w))
-        f = vecs @ w / norm_w**2
-        r = np.linalg.norm(vecs - np.outer(f, w), axis=1)
-        if np.any(r > tol_parallel * np.linalg.norm(vecs, axis=1)):
-            max_angle = float(np.arctan2(r, np.abs(f) * norm_w).max())
-            raise ParallelConditionError(side, max_angle)
-        fs.append(f)
-
-    return ShapeFunctions.from_samples(times, fs[0], fs[1])
+        u = w / np.linalg.norm(w)
+        image = mprime.T @ u
+        rate = float(u @ image)
+        deviation = t * float(np.linalg.norm(image - rate * u))
+        if deviation > RAY_TOL:
+            raise ParallelConditionError(side, math.atan2(deviation, 1.0))
+        rates.append(rate)
+    return ShapeFunctions.of_rates(rates[0], rates[1], t)

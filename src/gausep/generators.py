@@ -115,6 +115,9 @@ class SystemModel:
                     vec_b=_as_finite(c.vec_b, (lo.dim_b,), "coupling vec_b"),
                 ),
             )
+            for name in ("vec_a", "vec_b"):
+                if not getattr(self.coupling, name).any():
+                    raise ValueError(f"coupling {name} must be nonzero")
             if not isinstance(self.noise, ScalarWhiteNoise):
                 raise ValueError("rank-1 coupling requires scalar white noise")
             n = self.noise

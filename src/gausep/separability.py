@@ -46,6 +46,8 @@ from .symplectic import (
 )
 
 MARGIN_TOL = 1e-10
+# the stringent bound is also necessary when the shape overlap is this close to one
+NS_TOL = 1e-9
 # Roundoff band of the PPT test, in units of eps ||V~||_1 of the partial
 # transpose; see _pt_spectrum.
 PPT_ROUNDOFF_ULPS = 16
@@ -180,7 +182,6 @@ def stringent_ns_check(
     k: float,
     s_ab: float = 0.0,
     tol: float = MARGIN_TOL,
-    tol_ns: float = 1e-9,
 ) -> ThresholdVerdict:
     """Sharpened bound using the normalized shape overlap.
 
@@ -196,7 +197,7 @@ def stringent_ns_check(
         max(noise, coupled),
         BoundKind.STRINGENT_NS,
         tol,
-        necessary_and_sufficient=bool(abs(shapes.rho_sq - 1.0) <= tol_ns),
+        necessary_and_sufficient=bool(abs(shapes.rho_sq - 1.0) <= NS_TOL),
     )
 
 

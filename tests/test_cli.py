@@ -626,3 +626,57 @@ def test_main_runs_the_command_bound_at_call_time(tmp_path, capsys, monkeypatch)
     monkeypatch.setattr(cli, "cmd_threshold", wrapped)
     assert main(["threshold", "--config", cfg]) == 0
     assert seen == [cfg]
+
+
+def test_stringent_bound_at_a_long_horizon_prints_a_verdict(tmp_path, capsys):
+    """Rates 1 and -0.5 over t = 400 give rho^2 = 8 exp(-400), though the
+    shape on side A grows to exp(400)."""
+    payload = ray_model_config(1.0, 0.9)
+    payload["model"]["hamiltonian_b"] = [[0.0, -0.5], [-0.5, 0.0]]
+    payload["stringent_horizon"] = 400.0
+    cfg = write_config(tmp_path, payload)
+    assert main(["threshold", "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == [
+        "rank1: violated margin=-0.18999999999999995",
+        "stringent_ns: satisfied margin=0.81000000000000005",
+    ]
+    assert captured.err == ""
+
+
+def test_zero_coupling_vector_exits_one(tmp_path, capsys):
+    payload = model_config(1.0, s_a=0.9, s_b=0.9)
+    payload["model"]["coupling"]["vec_b"] = [0.0, 0.0]
+    cfg = write_config(tmp_path, payload)
+    assert main(["threshold", "--config", cfg]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: invalid model: coupling vec_b must be nonzero\n"
+
+
+def test_evolve_overflow_exits_one_before_any_row(tmp_path, capsys):
+    """sigma_x grows the covariance like exp(2t), past double range by t = 800."""
+    cfg = write_config(tmp_path, ray_model_config(1.0, 2.0))
+    out = tmp_path / "series.csv"
+    argv = ["evolve", "--config", cfg, "--steps", "4"]
+    assert main([*argv, "--t", "800", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: the covariance overflows before --t = 800\n"
+    assert not out.exists()
+    assert main([*argv, "--t", "300"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 6
+
+
+def test_cold_start_loads_no_quadrature_or_special_functions():
+    import subprocess
+    import sys
+
+    code = (
+        "import sys, gausep.cli; "
+        "print(sorted({'scipy.integrate', 'scipy.special'} & set(sys.modules)))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "[]"

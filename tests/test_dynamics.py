@@ -166,8 +166,8 @@ def test_shape_functions_free_mass_is_flat():
     """A free mass keeps the measured quadrature fixed, overlap exactly one."""
     model = rank1_model(1.0, 2.0, 2.0)
     shapes = shape_functions(model, 0.05)
-    np.testing.assert_allclose(shapes.f_a, np.ones_like(shapes.f_a), atol=1e-12)
-    np.testing.assert_allclose(shapes.rho_sq, 1.0, atol=1e-12)
+    assert shapes.rate_a == 0.0
+    assert shapes.rho_sq == 1.0
 
 
 def test_shape_functions_scaling_dynamics():
@@ -176,19 +176,21 @@ def test_shape_functions_scaling_dynamics():
     h = np.array([[0.0, b], [b, 0.0]])
     model = rank1_model(1.0, 2.0, 2.0, h_a=h, h_b=h)
     shapes = shape_functions(model, 0.5)
-    np.testing.assert_allclose(shapes.f_a, np.exp(b * shapes.times), rtol=1e-8)
-    np.testing.assert_allclose(shapes.rho_sq, 1.0, atol=1e-10)
+    np.testing.assert_allclose(shapes.rate_a, b, rtol=1e-12)
+    assert shapes.rho_sq == 1.0
 
 
 def test_shape_functions_match_one_exponential_per_sample():
     h_a = np.array([[0.0, 0.6], [0.6, 0.0]])
     h_b = np.array([[0.0, -0.9], [-0.9, 0.0]])
     model = rank1_model(1.0, 2.0, 2.0, h_a=h_a, h_b=h_b, vec_b=np.array([0.0, 1.5]))
-    shapes = shape_functions(model, 2.0, samples=101)
+    shapes = shape_functions(model, 2.0)
     vecs = (model.coupling.vec_a, model.coupling.vec_b)
-    for f, drift, w in zip((shapes.f_a, shapes.f_b), local_drift_blocks(model), vecs):
-        expected = [expm(drift.T * s) @ w @ w / (w @ w) for s in shapes.times]
-        np.testing.assert_allclose(f, expected, rtol=1e-13)
+    times = np.linspace(0.0, 2.0, 101)
+    rates = (shapes.rate_a, shapes.rate_b)
+    for rate, drift, w in zip(rates, local_drift_blocks(model), vecs):
+        expected = [expm(drift.T * s) @ w @ w / (w @ w) for s in times]
+        np.testing.assert_allclose(np.exp(rate * times), expected, rtol=1e-13)
 
 
 def test_shape_functions_mismatched_scalings_reduce_the_overlap():
@@ -205,3 +207,58 @@ def test_shape_functions_reject_rotating_rays():
     model = rank1_model(1.0, 2.0, 2.0, h_a=np.eye(2), h_b=np.eye(2))
     with pytest.raises(ParallelConditionError):
         shape_functions(model, 0.5)
+
+
+def _rho_sq_by_quadrature(model, t):
+    """40-digit quadrature of the expm-defined shapes ``(exp(M^T s) w) . w / |w|^2``."""
+    import functools
+
+    import mpmath
+
+    vecs = (model.coupling.vec_a, model.coupling.vec_b)
+    with mpmath.workdps(40):
+        sides = [
+            (mpmath.matrix(drift.T.tolist()), mpmath.matrix(w.tolist()))
+            for drift, w in zip(local_drift_blocks(model), vecs)
+        ]
+
+        @functools.lru_cache(maxsize=None)
+        def shapes(s):
+            return [(w.T * mpmath.expm(m * s) * w)[0] / (w.T * w)[0] for m, w in sides]
+
+        i_aa, i_bb, i_ab = (
+            mpmath.quad(
+                lambda s, i=i, j=j: shapes(s)[i] * shapes(s)[j], [0, t], method="gauss-legendre"
+            )
+            for i, j in ((0, 0), (1, 1), (0, 1))
+        )
+        return i_ab**2 / (i_aa * i_bb)
+
+
+SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
+
+
+@pytest.mark.parametrize(
+    "rate_a, rate_b, t",
+    [(0.9, -0.7, 1.4), (0.3, 0.25, 7.0), (1.0, -0.5, 400.0)],
+)
+def test_rho_sq_matches_the_expm_defined_overlap(rate_a, rate_b, t):
+    """The closed form against a 40-digit quadrature, up to horizons whose
+    shapes overflow double precision."""
+    model = rank1_model(1.0, 0.9, 0.9, h_a=rate_a * SIGMA_X, h_b=rate_b * SIGMA_X)
+    shapes = shape_functions(model, t)
+    reference = _rho_sq_by_quadrature(model, t)
+    assert abs(shapes.rho_sq - float(reference)) <= 1e-12 * float(reference)
+
+
+@pytest.mark.parametrize("theta, kept", [(1e-10, True), (1e-6, False)])
+def test_ray_tolerance_boundary(theta, kept):
+    """A coupling direction turned by theta off the sigma_x eigenvector."""
+    vec = np.array([np.cos(theta), np.sin(theta)])
+    model = rank1_model(1.0, 2.0, 2.0, h_a=SIGMA_X, h_b=SIGMA_X, vec_a=vec)
+    if kept:
+        shape_functions(model, 1.0)
+    else:
+        with pytest.raises(ParallelConditionError) as info:
+            shape_functions(model, 1.0)
+        assert info.value.side == "A"

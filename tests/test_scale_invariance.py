@@ -94,8 +94,7 @@ def test_general_threshold_is_scale_invariant(r_a, r_b, coupling, c):
 @given(scalar_rates(), st.floats(min_value=0.0, max_value=2.0), FACTORS)
 def test_stringent_check_is_scale_invariant(rates, slope, c):
     k, s_a, s_b, s_ab = rates
-    times = np.linspace(0.0, 1.0, 21)
-    shapes = ShapeFunctions.from_samples(times, np.ones_like(times), 1.0 + slope * times)
+    shapes = ShapeFunctions.of_rates(0.0, slope, 1.0)
     base = stringent_ns_check(shapes, s_a, s_b, k, s_ab)
     scaled = stringent_ns_check(shapes, c * s_a, c * s_b, c * k, c * s_ab)
     assert scaled.satisfied == base.satisfied
