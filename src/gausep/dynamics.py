@@ -21,7 +21,8 @@ the covariance stays ``I/2`` plus first-order coupling and noise integrals.
 Under restricted (ray-preserving) local dynamics each rotated coupling vector
 is a real eigenvector of ``M'^T``, so the shape overlap behind the sharpened
 bound is a closed form in the two eigenvalues (:class:`ShapeFunctions`); a
-side whose vector turns more than ``RAY_TOL`` off its ray is refused.
+side is refused unless a Gronwall bound keeps its vector within ``RAY_TOL``
+of its ray over the whole horizon.
 """
 
 from __future__ import annotations
@@ -46,8 +47,8 @@ from .symplectic import (
 # picture to be meaningful
 PERTURBATIVE_GUARD = 0.1
 _PURE_TOL = 1e-8
-# largest first-order angle off its ray a rotated coupling vector may reach
-# over the horizon (see shape_functions)
+# largest bound on a rotated coupling vector's relative departure from its
+# ray over the horizon (see shape_functions)
 RAY_TOL = 1e-8
 
 
@@ -58,12 +59,12 @@ class RegimeError(ValueError):
 class ParallelConditionError(ValueError):
     """Restricted-dynamics assumption violated (rotated vector not parallel)."""
 
-    def __init__(self, side: str, max_angle: float):
+    def __init__(self, side: str, bound: float):
         self.side = side
-        self.max_angle = max_angle
+        self.bound = bound
         super().__init__(
-            f"rotated coupling vector on side {side} leaves its ray "
-            f"(max deviation angle {max_angle:.3e} rad)"
+            f"rotated coupling vector on side {side} may leave its ray "
+            f"(relative departure bound {bound:.3e})"
         )
 
 
@@ -374,11 +375,13 @@ def shape_functions(
 ) -> ShapeFunctions:
     """Growth rates of the model's restricted local dynamics on ``[0, t]``.
 
-    Per side the rate is the Rayleigh quotient ``u^T M'^T u`` on the unit
-    coupling direction ``u``.  The side is refused with
-    :class:`ParallelConditionError` when ``t ||M'^T u - rate u||``, the
-    first-order angle by which ``v(t)`` leaves its ray, exceeds ``RAY_TOL``.
-    The shapes depend only on the free local rotations, so no perturbative
+    Per side ``rate = u^T M'^T u`` on the unit coupling direction ``u``.
+    With ``mu`` the largest eigenvalue of the symmetric part of ``M'``,
+    Gronwall bounds the departure ``|exp(-rate s) v(s) - u|`` on ``[0, t]``
+    by ``|M'^T u - rate u| int_0^t exp((mu - rate) s) ds`` (``t`` times the
+    residual when ``mu = rate``); the side is refused with
+    :class:`ParallelConditionError` when that exceeds ``RAY_TOL``.  The
+    shapes depend only on the free local rotations, so no perturbative
     window applies here.
     """
     if not 0.0 < t < np.inf:
@@ -389,8 +392,10 @@ def shape_functions(
         u = w / np.linalg.norm(w)
         image = mprime.T @ u
         rate = float(u @ image)
-        deviation = t * float(np.linalg.norm(image - rate * u))
-        if deviation > RAY_TOL:
-            raise ParallelConditionError(side, math.atan2(deviation, 1.0))
+        gap = max(float(np.linalg.eigvalsh(mprime + mprime.T)[-1]) / 2 - rate, 0.0)
+        # the bound is departure * exp(gap t), compared without overflow
+        departure = float(np.linalg.norm(image - rate * u)) * _exp_integral_scaled(gap, t)
+        if departure > RAY_TOL * math.exp(-gap * t):
+            raise ParallelConditionError(side, departure * math.exp(min(gap * t, 700.0)))
         rates.append(rate)
     return ShapeFunctions.of_rates(rates[0], rates[1], t)

@@ -8,6 +8,7 @@ from scipy.linalg import expm
 
 from gausep.dynamics import (
     GaussianMap,
+    RAY_TOL,
     ParallelConditionError,
     RegimeError,
     check_perturbative_window,
@@ -251,14 +252,49 @@ def test_rho_sq_matches_the_expm_defined_overlap(rate_a, rate_b, t):
     assert abs(shapes.rho_sq - float(reference)) <= 1e-12 * float(reference)
 
 
-@pytest.mark.parametrize("theta, kept", [(1e-10, True), (1e-6, False)])
-def test_ray_tolerance_boundary(theta, kept):
+@pytest.mark.parametrize(
+    "h, theta, t, kept",
+    [
+        (SIGMA_X, 1e-10, 1.0, True),
+        (SIGMA_X, 1e-6, 1.0, False),
+        # a decaying ray: the off-ray part grows like exp(t) against it
+        (-0.5 * SIGMA_X, 1e-10, 1.0, True),
+        (-0.5 * SIGMA_X, 1e-10, 40.0, False),
+        # a growing ray: the off-ray part dies out, so the horizon hardly matters
+        (0.5 * SIGMA_X, 1e-10, 40.0, True),
+    ],
+)
+def test_ray_tolerance_boundary(h, theta, t, kept):
     """A coupling direction turned by theta off the sigma_x eigenvector."""
     vec = np.array([np.cos(theta), np.sin(theta)])
-    model = rank1_model(1.0, 2.0, 2.0, h_a=SIGMA_X, h_b=SIGMA_X, vec_a=vec)
+    model = rank1_model(1.0, 2.0, 2.0, h_a=h, h_b=h, vec_b=vec)
     if kept:
-        shape_functions(model, 1.0)
+        shape_functions(model, t)
     else:
         with pytest.raises(ParallelConditionError) as info:
-            shape_functions(model, 1.0)
-        assert info.value.side == "A"
+            shape_functions(model, t)
+        assert info.value.side == "B"
+
+
+@pytest.mark.parametrize("factor, kept", [(0.5, True), (2.0, False)])
+def test_ray_test_follows_the_real_departure(factor, kept):
+    """On a decaying ray the refusal tracks the expm-defined departure
+    ``|exp(-rate t) exp(M^T t) u - u|`` at the horizon, whatever ``t``."""
+    t = 20.0
+    h = -0.5 * SIGMA_X
+    drift = local_drift_blocks(rank1_model(1.0, 1.0, 1.0, h_a=h, h_b=h))[0]
+
+    def departure(theta):
+        u = np.array([np.cos(theta), np.sin(theta)])
+        rate = u @ drift.T @ u
+        return np.linalg.norm(np.exp(-rate * t) * expm(drift.T * t) @ u - u)
+
+    # the departure is linear in theta this close to the ray
+    theta = factor * RAY_TOL * 1e-10 / departure(1e-10)
+    vec = np.array([np.cos(theta), np.sin(theta)])
+    model = rank1_model(1.0, 2.0, 2.0, h_a=h, h_b=h, vec_a=vec)
+    if kept:
+        shape_functions(model, t)
+    else:
+        with pytest.raises(ParallelConditionError):
+            shape_functions(model, t)
