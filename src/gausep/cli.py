@@ -22,8 +22,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from jsonschema.exceptions import best_match
-from jsonschema.validators import validator_for
 
 from .dynamics import evolve, shape_functions, transition_blocks
 from .fock import (
@@ -32,7 +30,7 @@ from .fock import (
     lindblad_integrate,
     protocol_kraus_step,
 )
-from .generators import build_generator, model_from_dict
+from .generators import FieldError, Fields, build_generator, model_from_dict
 from .locc import (
     InfeasibleProtocolError,
     build_rank1_protocol,
@@ -65,130 +63,36 @@ class ConfigError(ValueError):
 
 # -- config loading ------------------------------------------------------------
 
-_NUMBER = {"type": "number"}
-_VECTOR = {"type": "array", "items": _NUMBER, "minItems": 1}
-_MATRIX = {"type": "array", "items": _VECTOR, "minItems": 1}
-
-_MODEL_SCHEMA = {
-    "type": "object",
-    "required": ["layout", "hamiltonian_a", "hamiltonian_b", "coupling", "noise"],
-    "properties": {
-        "layout": {
-            "type": "object",
-            "required": ["n_a", "n_b"],
-            "properties": {
-                "n_a": {"type": "integer", "minimum": 1},
-                "n_b": {"type": "integer", "minimum": 1},
-            },
-        },
-        "hamiltonian_a": _MATRIX,
-        "hamiltonian_b": _MATRIX,
-        "coupling": {
-            "type": "object",
-            "required": ["kind"],
-            "properties": {"kind": {"enum": ["rank1", "general"]}},
-        },
-        "noise": {
-            "type": "object",
-            "required": ["kind"],
-            "properties": {"kind": {"enum": ["scalar_white", "matrix_white"]}},
-        },
-    },
-}
-
-_AXIS_SCHEMA = {
-    "type": "object",
-    "required": ["path", "min", "max", "points"],
-    "properties": {
-        "path": {"type": "string", "minLength": 1},
-        "min": _NUMBER,
-        "max": _NUMBER,
-        "points": {"type": "integer", "minimum": 2},
-        "scale": {"enum": ["lin", "log"]},
-    },
-}
-
-_OUTPUT_NAMES = ["margin", "nu_tilde_minus", "log_negativity", "feasibility"]
-
-_SWEEP_SCHEMA = {
-    "type": "object",
-    "required": ["model", "sweep"],
-    "properties": {
-        "model": _MODEL_SCHEMA,
-        "sweep": {
-            "type": "object",
-            "required": ["axes", "outputs"],
-            "properties": {
-                "axes": {"type": "array", "items": _AXIS_SCHEMA, "minItems": 1},
-                "outputs": {
-                    "type": "array",
-                    "items": {"enum": _OUTPUT_NAMES},
-                    "minItems": 1,
-                },
-                "time": {"type": "number", "exclusiveMinimum": 0},
-            },
-        },
-    },
-}
-
-_RUN_SCHEMA = {
-    "type": "object",
-    "required": ["model"],
-    "properties": {
-        "model": _MODEL_SCHEMA,
-        "initial_covariance": _MATRIX,
-        "memory": {
-            "type": "object",
-            "required": ["c2"],
-            "properties": {"c2": _NUMBER},
-        },
-        "stringent_horizon": {"type": "number", "exclusiveMinimum": 0},
-        "branch": {"enum": ["plus", "minus"]},
-        "oracle_cutoff": {"type": "integer", "minimum": 2},
-    },
-}
+# The top-level objects each command requires, also passed by bench/setup_probe.py;
+# every value inside them is checked by the code that reads it.
+_RUN_SCHEMA = ("model",)
+_SWEEP_SCHEMA = ("model", "sweep")
 
 
-_VALIDATORS: dict[int, object] = {}
-
-
-def _validator(schema: dict):
-    """Validator for ``schema``, checked against its metaschema once and kept.
-
-    Keyed by identity: each validator holds its schema, so the id stays taken.
-    """
-    if id(schema) not in _VALIDATORS:
-        cls = validator_for(schema)
-        cls.check_schema(schema)
-        _VALIDATORS[id(schema)] = cls(schema)
-    return _VALIDATORS[id(schema)]
-
-
-def load_config(path: str, schema: dict) -> dict:
-    """Read and schema-validate a JSON config, with positional diagnostics.
-
-    Errors are chosen by ``best_match`` exactly as ``jsonschema.validate``
-    chooses them.
-    """
+def load_config(path: str, required: tuple[str, ...]) -> dict:
+    """Read a JSON config whose root is an object holding the ``required``
+    objects, with positional diagnostics for parse errors."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise ConfigError(f"{path}: {exc.strerror or exc}") from exc
     try:
-        data = json.loads(text)
+        # an integer literal of 300 digits or more reads as the float it rounds
+        # to, inf past double range, as a float literal does
+        data = json.loads(text, parse_int=lambda t: int(t) if len(t) < 300 else float(t))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
-    error = best_match(_validator(schema).iter_errors(data))
-    if error is not None:
-        where = "/".join(str(p) for p in error.absolute_path) or "<root>"
-        raise ConfigError(f"{path}: at {where}: {error.message}") from error
+    for key in required:
+        Fields(data).object(key)
     return data
 
 
 def _model_from_config(data: dict):
     try:
-        return model_from_dict(data["model"])
-    except (KeyError, ValueError) as exc:
+        return model_from_dict(data["model"], ("model",))
+    except FieldError:
+        raise
+    except ValueError as exc:
         raise ConfigError(f"invalid model: {exc}") from exc
 
 
@@ -227,21 +131,23 @@ def _verdict_line(verdict) -> str:
 def cmd_threshold(args) -> int:
     data = load_config(args.config, _RUN_SCHEMA)
     model = _model_from_config(data)
+    config = Fields(data)
+    horizon = config.positive("stringent_horizon", None)
+    memory = config.object("memory", None)
+    c2 = None if memory is None else memory.number("c2")
     verdicts = [threshold(model, tol=args.tol)]
-    horizon = data.get("stringent_horizon")
     if horizon is not None:
         if not model.is_rank1:
             raise ConfigError("stringent bound applies to the rank-1 variant only")
-        shapes = shape_functions(model, float(horizon))
+        shapes = shape_functions(model, horizon)
         n = model.noise
         verdicts.append(
             stringent_ns_check(
                 shapes, n.s_a, n.s_b, model.coupling.strength, n.s_ab, tol=args.tol
             )
         )
-    memory = data.get("memory")
-    if memory is not None:
-        coeffs = ohmic_d_coefficients(model, float(memory["c2"]))
+    if c2 is not None:
+        coeffs = ohmic_d_coefficients(model, c2)
         verdicts.append(damped_bound(model, coeffs, tol=args.tol))
     for verdict in verdicts:
         print(_verdict_line(verdict))
@@ -252,16 +158,11 @@ def cmd_threshold(args) -> int:
 
 
 def _initial_state(data: dict, layout) -> CovarianceMatrix:
-    raw = data.get("initial_covariance")
-    if raw is None:
+    mat = Fields(data).numbers("initial_covariance", 2, None)
+    if mat is None:
         return CovarianceMatrix.vacuum(layout)
-    mat = np.array(raw, dtype=float)
-    if mat.shape != (layout.dim, layout.dim):
-        raise ConfigError(
-            f"initial covariance must be {layout.dim}x{layout.dim}, got {mat.shape}"
-        )
     try:
-        return CovarianceMatrix(0.5 * (mat + mat.T), layout)
+        return CovarianceMatrix(mat, layout)
     except ValueError as exc:
         raise ConfigError(f"initial_covariance: {exc}") from exc
 
@@ -371,7 +272,9 @@ def cmd_locc_verify(args) -> int:
     steps = _trotter_steps(args.t, args.dt)
     # the oracle is built and its step scheduled first, so an unsupported
     # layout or a step over the work cap fails before any output
-    cutoff = int(data.get("oracle_cutoff", 12))
+    config = Fields(data)
+    cutoff = config.integer("oracle_cutoff", 2, 12)
+    branch = config.choice("branch", ("plus", "minus"), "plus")
     fgen = None
     if args.oracle:
         fgen = fock_generator_from_model(model, cutoff)
@@ -379,7 +282,7 @@ def cmd_locc_verify(args) -> int:
     target = build_generator(model)
     try:
         if model.is_rank1:
-            protocol = build_rank1_protocol(model, branch=data.get("branch", "plus"))
+            protocol = build_rank1_protocol(model, branch=branch)
         else:
             protocol = synthesize_general(model, tol=args.tol)
     except InfeasibleProtocolError as exc:
@@ -407,6 +310,9 @@ def cmd_locc_verify(args) -> int:
 # -- sweep command -------------------------------------------------------------
 
 
+_OUTPUT_NAMES = ("margin", "nu_tilde_minus", "log_negativity", "feasibility")
+
+
 @dataclass(frozen=True)
 class SweepAxis:
     path: str
@@ -431,21 +337,26 @@ class SweepSpec:
 
     @classmethod
     def from_config(cls, raw: dict) -> "SweepSpec":
+        """The spec of a config's ``sweep`` object."""
+        sweep = Fields(raw, ("sweep",))
         axes = []
-        for a in raw["axes"]:
-            if not a["min"] < a["max"]:
-                raise ConfigError(f"axis {a['path']}: min must be below max")
-            axes.append(
-                SweepAxis(
-                    path=a["path"],
-                    lo=float(a["min"]),
-                    hi=float(a["max"]),
-                    points=int(a["points"]),
-                    scale=a.get("scale", "lin"),
-                )
+        listed = sweep.array("axes")
+        is_path = lambda v: isinstance(v, str) and v
+        for i in listed.data:
+            a = listed.object(i)
+            axis = SweepAxis(
+                path=a.read("path", "a non-empty string", is_path, str),
+                lo=a.number("min"),
+                hi=a.number("max"),
+                points=a.integer("points", 2),
+                scale=a.choice("scale", ("lin", "log"), "lin"),
             )
-        outputs = tuple(raw["outputs"])
-        time = raw.get("time")
+            if not axis.lo < axis.hi:
+                raise ConfigError(f"axis {axis.path}: min must be below max")
+            axes.append(axis)
+        listed = sweep.array("outputs")
+        outputs = tuple(listed.choice(i, _OUTPUT_NAMES) for i in listed.data)
+        time = sweep.positive("time", None)
         needs_state = {"nu_tilde_minus", "log_negativity"} & set(outputs)
         if needs_state and time is None:
             raise ConfigError(
@@ -458,22 +369,19 @@ class SweepSpec:
 
 def set_by_path(tree: dict, path: str, value: float) -> None:
     """Assign a number at a dotted path; integer segments index lists."""
+    *parents, last = path.split(".")
     node = tree
-    parts = path.split(".")
-    for part in parts[:-1]:
-        try:
-            node = node[int(part)] if isinstance(node, list) else node[part]
-        except (KeyError, IndexError, ValueError) as exc:
-            raise ConfigError(f"no such parameter path: {path}") from exc
-    last = parts[-1]
     try:
+        for part in parents:
+            node = node[int(part)] if isinstance(node, list) else node[part]
         if isinstance(node, list):
             node[int(last)] = value
-        else:
-            if last not in node:
-                raise KeyError(last)
+        elif last in node:
             node[last] = value
-    except (KeyError, IndexError, ValueError) as exc:
+        else:
+            raise KeyError(last)
+    # TypeError: a segment past a number, which has no keys or items
+    except (KeyError, IndexError, ValueError, TypeError) as exc:
         raise ConfigError(f"no such parameter path: {path}") from exc
 
 
@@ -494,7 +402,7 @@ def evaluate_point(model_dict: dict, spec: SweepSpec, values: tuple) -> list[flo
     local = json.loads(json.dumps(model_dict))
     for axis, value in zip(spec.axes, values):
         set_by_path(local, axis.path, float(value))
-    model = model_from_dict(local)
+    model = model_from_dict(local, ("model",))
     row = []
     ppt = None
     if {"nu_tilde_minus", "log_negativity"} & set(spec.outputs):
@@ -668,5 +576,8 @@ def main(argv=None) -> int:
     try:
         return command(args)
     except (ValueError, OSError, RuntimeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _LOG.debug("%s failed", args.command, exc_info=True)
+        # a FieldError locates its value in the config; the file completes it
+        where = f"{args.config}: " if isinstance(exc, FieldError) else ""
+        print(f"error: {where}{exc}", file=sys.stderr)
         return EXIT_ERROR

@@ -61,6 +61,9 @@ LEAKAGE_LIMIT = 1e-6
 TAYLOR_TOL = 2.0**-54
 # about ten seconds of right-hand sides at cutoff 12, minutes at cutoff 24
 MAX_TAYLOR_PRODUCTS = 10_000
+# a two-mode density matrix at cutoff 32 is 32^4 complex entries (16 MB); the
+# cap refuses a cutoff before any operator of that size is allocated
+MAX_CUTOFF = 32
 # |log2 ||rho^T||_1| up to this many d eps (d the space dimension) is the
 # roundoff of eigvalsh on a PPT state, and the log-negativity is reported as 0
 NEGATIVITY_ROUNDOFF_ULPS = 4
@@ -74,8 +77,8 @@ class FockSpace:
     modes: int = 2
 
     def __post_init__(self):
-        if self.cutoff < 2:
-            raise ValueError("cutoff must be at least 2")
+        if not 2 <= self.cutoff <= MAX_CUTOFF:
+            raise ValueError(f"cutoff must be from 2 to {MAX_CUTOFF}, got {self.cutoff}")
         if self.modes not in (1, 2):
             raise ValueError("only one- and two-mode spaces are supported")
 

@@ -26,6 +26,7 @@ Two model variants are supported and must be paired consistently:
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -218,6 +219,92 @@ def local_drift_blocks(model: SystemModel) -> tuple[np.ndarray, np.ndarray]:
     return mode_form(lo.n_a) @ model.h_a, mode_form(lo.n_b) @ model.h_b
 
 
+# -- JSON reading ---------------------------------------------------------------
+#
+# Each config value is checked by the code that reads it: a missing, mistyped or
+# out-of-range value raises FieldError naming its JSON path from the config
+# root.  Non-finite numbers pass here and are judged where they are used.
+
+_ABSENT = object()
+
+
+class FieldError(ValueError):
+    """A config value missing, mistyped or out of range; the message reads
+    ``at <json/path>: expected <what>, got <value>``."""
+
+
+def _field_error(path: tuple, expected: str, got=_ABSENT) -> FieldError:
+    shown = "nothing" if got is _ABSENT else json.dumps(got, default=repr)
+    shown = shown if len(shown) <= 60 else shown[:57] + "..."
+    where = "/".join(map(str, path)) or "<root>"
+    return FieldError(f"at {where}: expected {expected}, got {shown}")
+
+
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float, np.integer, np.floating)) and not isinstance(x, bool)
+
+
+class Fields:
+    """A JSON object and its path from the config root, read key by key.
+
+    Each reader returns the checked value at ``key``, or ``default`` when the
+    key is absent and a default is given.
+    """
+
+    def __init__(self, data, path: tuple = ()):
+        if not isinstance(data, dict):
+            raise _field_error(path, "an object", data)
+        self.data, self.path = data, tuple(path)
+
+    def read(self, key, expected: str, ok, convert=float, default=_ABSENT):
+        """The value at ``key`` if ``ok`` accepts it, passed through ``convert``."""
+        value = self.data.get(key, _ABSENT)
+        if value is _ABSENT and default is not _ABSENT:
+            return default
+        if not ok(value):
+            raise _field_error((*self.path, key), expected, value)
+        return convert(value)
+
+    def object(self, key, default=_ABSENT) -> Fields:
+        path = (*self.path, key)
+        return self.read(key, "an object", lambda v: True, lambda v: Fields(v, path), default)
+
+    def array(self, key) -> Fields:
+        """The non-empty array at ``key``, its elements keyed by index."""
+        items = self.read(key, "a non-empty array", lambda v: isinstance(v, list) and v, list)
+        return Fields(dict(enumerate(items)), (*self.path, key))
+
+    def number(self, key, default=_ABSENT) -> float:
+        return self.read(key, "a number", _is_number, default=default)
+
+    def positive(self, key, default=_ABSENT) -> float:
+        ok = lambda v: _is_number(v) and 0 < v < np.inf
+        return self.read(key, "a finite number > 0", ok, default=default)
+
+    def integer(self, key, minimum: int, default=_ABSENT) -> int:
+        ok = lambda v: _is_number(v) and float(v).is_integer() and v >= minimum
+        return self.read(key, f"an integer >= {minimum}", ok, int, default)
+
+    def choice(self, key, options: tuple, default=_ABSENT) -> str:
+        expected = 'one of "' + '", "'.join(options) + '"'
+        return self.read(key, expected, lambda v: v in options, str, default)
+
+    def numbers(self, key, ndim: int = 1, default=_ABSENT) -> np.ndarray:
+        """The non-empty, rectangular ``ndim``-deep array of numbers at ``key``."""
+        if key not in self.data and default is not _ABSENT:
+            return default
+        # a full grid of JSON numbers is cleared at once; else each element is
+        # read, which names the first one that is wrong
+        grid = np.array(self.data.get(key), dtype=object)
+        if grid.ndim == ndim and grid.size and {int, float}.issuperset(map(type, grid.flat)):
+            return grid.astype(float)
+        seq = self.array(key)
+        rows = [seq.numbers(i, ndim - 1) if ndim > 1 else seq.number(i) for i in seq.data]
+        if len(set(map(np.shape, rows))) > 1:
+            raise _field_error(seq.path, "rows of equal length", self.data[key])
+        return np.array(rows)
+
+
 # -- JSON serialization -------------------------------------------------------
 #
 # Floats are emitted through Python's repr and therefore round-trip exactly.
@@ -255,37 +342,31 @@ def model_to_dict(model: SystemModel) -> dict:
     return d
 
 
-def model_from_dict(d: dict) -> SystemModel:
-    layout = ModeLayout(int(d["layout"]["n_a"]), int(d["layout"]["n_b"]))
-    ckind = d["coupling"]["kind"]
-    if ckind == "rank1":
+def model_from_dict(d: dict, path: tuple = ()) -> SystemModel:
+    """The model a JSON dict describes; ``path`` locates ``d`` in its config
+    for the :class:`FieldError` a malformed value raises."""
+    fields = Fields(d, path)
+    lo = fields.object("layout")
+    layout = ModeLayout(lo.integer("n_a", 1), lo.integer("n_b", 1))
+    h_a, h_b = fields.numbers("hamiltonian_a", 2), fields.numbers("hamiltonian_b", 2)
+    c = fields.object("coupling")
+    if c.choice("kind", ("rank1", "general")) == "rank1":
         coupling = Rank1Coupling(
-            strength=float(d["coupling"]["strength"]),
-            vec_a=np.array(d["coupling"]["vec_a"], dtype=float),
-            vec_b=np.array(d["coupling"]["vec_b"], dtype=float),
+            strength=c.number("strength"), vec_a=c.numbers("vec_a"), vec_b=c.numbers("vec_b")
         )
-    elif ckind == "general":
-        coupling = GeneralCoupling(matrix=np.array(d["coupling"]["matrix"], dtype=float))
     else:
-        raise ValueError(f"unknown coupling kind {ckind!r}")
-    nkind = d["noise"]["kind"]
-    if nkind == "scalar_white":
+        coupling = GeneralCoupling(matrix=c.numbers("matrix", 2))
+    n = fields.object("noise")
+    if n.choice("kind", ("scalar_white", "matrix_white")) == "scalar_white":
         noise = ScalarWhiteNoise(
-            s_a=float(d["noise"]["s_a"]),
-            s_b=float(d["noise"]["s_b"]),
-            s_ab=float(d["noise"].get("s_ab", 0.0)),
-        )
-    elif nkind == "matrix_white":
-        noise = MatrixWhiteNoise(
-            q_a=np.array(d["noise"]["q_a"], dtype=float),
-            q_b=np.array(d["noise"]["q_b"], dtype=float),
+            s_a=n.number("s_a"), s_b=n.number("s_b"), s_ab=n.number("s_ab", 0.0)
         )
     else:
-        raise ValueError(f"unknown noise kind {nkind!r}")
+        noise = MatrixWhiteNoise(q_a=n.numbers("q_a", 2), q_b=n.numbers("q_b", 2))
     return SystemModel(
         layout=layout,
-        h_a=np.array(d["hamiltonian_a"], dtype=float),
-        h_b=np.array(d["hamiltonian_b"], dtype=float),
+        h_a=h_a,
+        h_b=h_b,
         coupling=coupling,
         noise=noise,
     )

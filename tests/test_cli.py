@@ -2,9 +2,11 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
-import jsonschema
 import numpy as np
 import pytest
 
@@ -100,40 +102,105 @@ def invalid_configs():
     unknown_kind = model_config(1.0)
     unknown_kind["model"]["noise"]["kind"] = "pink"
     del unknown_kind["model"]["coupling"]
-    return [wrong_type, unknown_kind, {"model": [1, 2]}, {"branch": "both"}]
+    return [
+        (wrong_type, 'model/layout/n_a: expected an integer >= 1, got "one"'),
+        (unknown_kind, "model/coupling: expected an object, got nothing"),
+        ({"model": [1, 2]}, "model: expected an object, got [1, 2]"),
+        ({"branch": "both"}, "model: expected an object, got nothing"),
+    ]
 
 
-@pytest.mark.parametrize("payload", invalid_configs())
-def test_schema_errors_read_as_jsonschema_validate_reports_them(tmp_path, capsys, payload):
+@pytest.mark.parametrize(
+    "payload, message", invalid_configs(), ids=[f"payload{i}" for i in range(4)]
+)
+def test_schema_errors_read_as_jsonschema_validate_reports_them(
+    tmp_path, capsys, payload, message
+):
+    """The first malformed value in reading order is named by its JSON path."""
     cfg = write_config(tmp_path, payload)
-    with pytest.raises(jsonschema.ValidationError) as info:
-        jsonschema.validate(payload, cli._RUN_SCHEMA)
-    where = "/".join(str(p) for p in info.value.absolute_path) or "<root>"
     assert main(["threshold", "--config", cfg]) == 1
-    assert capsys.readouterr().err == f"error: {cfg}: at {where}: {info.value.message}\n"
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {cfg}: at {message}\n"
 
 
-def test_metaschema_is_checked_once_per_schema(tmp_path, monkeypatch):
-    schema_cls = jsonschema.validators.validator_for(cli._RUN_SCHEMA)
-    check = schema_cls.check_schema
-    checked = []
+GENERAL = {
+    **FREE_MASS,
+    "coupling": {"kind": "general", "matrix": [[0.5, 0.0], [0.0, 0.0]]},
+    "noise": {"kind": "matrix_white", "q_a": np.eye(2).tolist(), "q_b": np.eye(2).tolist()},
+}
 
-    def counting_check(schema, *args, **kwargs):
-        checked.append(id(schema))
-        return check(schema, *args, **kwargs)
 
-    monkeypatch.setattr(schema_cls, "check_schema", counting_check)
-    monkeypatch.setattr(cli, "_VALIDATORS", {})
-    run_cfg = write_config(tmp_path, model_config(1.0), "run.json")
-    sweep = {
-        "axes": [{"path": "coupling.strength", "min": 0.5, "max": 1.5, "points": 2}],
-        "outputs": ["margin"],
-    }
-    sweep_cfg = write_config(tmp_path, {**model_config(1.0), "sweep": sweep}, "sweep.json")
-    for _ in range(3):
-        cli.load_config(run_cfg, cli._RUN_SCHEMA)
-        cli.load_config(sweep_cfg, cli._SWEEP_SCHEMA)
-    assert sorted(checked) == sorted([id(cli._RUN_SCHEMA), id(cli._SWEEP_SCHEMA)])
+@pytest.mark.parametrize("value", [True, "1.0", None], ids=["bool", "string", "null"])
+@pytest.mark.parametrize(
+    "field",
+    [
+        "coupling/strength",
+        "coupling/vec_a/0",
+        "coupling/vec_b/1",
+        "noise/s_a",
+        "noise/s_b",
+        "noise/s_ab",
+        "coupling/matrix/0/1",
+        "noise/q_a/1/1",
+        "noise/q_b/0/0",
+    ],
+)
+def test_non_number_model_input_exits_one(tmp_path, capsys, field, value):
+    general = "matrix" in field or "q_" in field
+    model = json.loads(json.dumps(GENERAL if general else FREE_MASS))
+    *parents, last = field.split("/")
+    node = model
+    for part in parents:
+        node = node[int(part)] if isinstance(node, list) else node[part]
+    node[int(last) if isinstance(node, list) else last] = value
+    cfg = write_config(tmp_path, {"model": model})
+    assert main(["threshold", "--config", cfg]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    expected = f"at model/{field}: expected a number, got {json.dumps(value)}"
+    assert captured.err == f"error: {cfg}: {expected}\n"
+
+
+@pytest.mark.parametrize(
+    "command, extra, message",
+    [
+        ("locc-verify", {"branch": "both"},
+         'branch: expected one of "plus", "minus", got "both"'),
+        ("locc-verify", {"oracle_cutoff": 1}, "oracle_cutoff: expected an integer >= 2, got 1"),
+        ("locc-verify", {"oracle_cutoff": 12.5},
+         "oracle_cutoff: expected an integer >= 2, got 12.5"),
+        ("threshold", {"stringent_horizon": -1.0},
+         "stringent_horizon: expected a finite number > 0, got -1.0"),
+        ("threshold", {"memory": {}}, "memory/c2: expected a number, got nothing"),
+        ("threshold", {"memory": 0.1}, "memory: expected an object, got 0.1"),
+        ("evolve", {"initial_covariance": [[0.5, 0.0], []]},
+         "initial_covariance/1: expected a non-empty array, got []"),
+        ("evolve", {"initial_covariance": [[0.5, 0.0], [0.5]]},
+         "initial_covariance: expected rows of equal length, got [[0.5, 0.0], [0.5]]"),
+        ("evolve", {"model": {**FREE_MASS, "layout": {"n_a": 1}}},
+         "model/layout/n_b: expected an integer >= 1, got nothing"),
+    ],
+)
+def test_run_config_errors_name_their_path(tmp_path, capsys, command, extra, message):
+    cfg = write_config(tmp_path, {**model_config(1.0), **extra})
+    out = tmp_path / "series.csv"
+    argv = [command, "--config", cfg]
+    if command == "evolve":
+        argv += ["--t", "0.1", "--out", str(out)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {cfg}: at {message}\n"
+    assert not out.exists()
+
+
+def test_integer_past_double_range_reads_as_infinity(tmp_path, capsys):
+    cfg = write_config(tmp_path, model_config(10**400))
+    assert main(["threshold", "--config", cfg]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: invalid model: coupling strength must be finite\n"
 
 
 def test_missing_config_exits_one(tmp_path, capsys):
@@ -434,6 +501,54 @@ def test_sweep_rejects_unknown_parameter_path(tmp_path, capsys):
     assert "parameter path" in capsys.readouterr().err
 
 
+def sweep_config(**sweep):
+    axis = {"path": "coupling.strength", "min": 0.5, "max": 1.5, "points": 3}
+    block = {"axes": [axis], "outputs": ["margin", "log_negativity"], "time": 0.1}
+    return {"model": json.loads(json.dumps(FREE_MASS)), "sweep": {**block, **sweep}}
+
+
+@pytest.mark.parametrize(
+    "sweep, message",
+    [
+        ({"time": float("nan")}, "sweep/time: expected a finite number > 0, got NaN"),
+        ({"time": float("inf")}, "sweep/time: expected a finite number > 0, got Infinity"),
+        ({"time": 0}, "sweep/time: expected a finite number > 0, got 0"),
+        ({"axes": []}, "sweep/axes: expected a non-empty array, got []"),
+        ({"outputs": ["margin", "purity"]},
+         'sweep/outputs/1: expected one of "margin", "nu_tilde_minus", '
+         '"log_negativity", "feasibility", got "purity"'),
+        ({"axes": [{"path": "", "min": 0.5, "max": 1.5, "points": 3}]},
+         'sweep/axes/0/path: expected a non-empty string, got ""'),
+        ({"axes": [{"path": "coupling.strength", "min": "0.5", "max": 1.5, "points": 3}]},
+         'sweep/axes/0/min: expected a number, got "0.5"'),
+        ({"axes": [{"path": "coupling.strength", "min": 0.5, "max": 1.5, "points": 1}]},
+         "sweep/axes/0/points: expected an integer >= 2, got 1"),
+        ({"axes": [{"path": "coupling.strength", "min": 0.5, "max": 1.5, "points": 3,
+                    "scale": "cubic"}]},
+         'sweep/axes/0/scale: expected one of "lin", "log", got "cubic"'),
+    ],
+)
+def test_sweep_config_errors_name_their_path_before_any_output(
+    tmp_path, capsys, sweep, message
+):
+    cfg = write_config(tmp_path, sweep_config(**sweep))
+    out = tmp_path / "g.csv"
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {cfg}: at {message}\n"
+    assert not out.exists()
+
+
+def test_sweep_path_past_a_number_exits_one_before_any_output(tmp_path, capsys):
+    axis = {"path": "coupling.strength.x", "min": 0.5, "max": 1.5, "points": 2}
+    cfg = write_config(tmp_path, sweep_config(axes=[axis]))
+    out = tmp_path / "g.csv"
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: no such parameter path: coupling.strength.x\n"
+    assert not out.exists()
+
+
 def ray_model_config(strength, s):
     """1+1 model with ``h = sigma_x`` on both sides, which keeps the x ray."""
     payload = model_config(strength, s_a=s, s_b=s)
@@ -509,6 +624,22 @@ def test_non_finite_initial_covariance_exits_one_before_output(tmp_path, capsys,
     assert captured.out == ""
     assert "initial_covariance" in captured.err
     assert "finite" in captured.err
+
+
+@pytest.mark.parametrize(
+    "matrix, reason",
+    [
+        ([[0.5, 0.4, 0, 0], [-0.4, 0.5, 0, 0], [0, 0, 0.5, 0], [0, 0, 0, 0.5]],
+         "covariance matrix is not symmetric"),
+        ([[0.5, 0.0], [0.0, 0.5]], "covariance matrix must have shape (4, 4), got (2, 2)"),
+    ],
+)
+def test_unusable_initial_covariance_exits_one_before_output(tmp_path, capsys, matrix, reason):
+    cfg = write_config(tmp_path, {**model_config(1.0), "initial_covariance": matrix})
+    assert main(["evolve", "--config", cfg, "--t", "0.1", "--steps", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: initial_covariance: {reason}\n"
 
 
 @pytest.mark.parametrize("command", ["threshold", "locc-verify"])
@@ -674,9 +805,30 @@ def test_cold_start_loads_no_quadrature_or_special_functions():
 
     code = (
         "import sys, gausep.cli; "
-        "print(sorted({'scipy.integrate', 'scipy.special'} & set(sys.modules)))"
+        "print(sorted({'scipy.integrate', 'scipy.special', 'jsonschema'} & set(sys.modules)))"
     )
     result = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True
     )
     assert result.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("level", ["debug", None])
+def test_debug_logging_adds_the_traceback_to_the_error_line(tmp_path, level):
+    cfg = write_config(tmp_path, {"model": [1, 2]})
+    env = {k: v for k, v in os.environ.items() if k != "GAUSEP_LOG"}
+    if level is not None:
+        env["GAUSEP_LOG"] = level
+    result = subprocess.run(
+        [sys.executable, "-m", "gausep", "threshold", "--config", cfg],
+        capture_output=True, text=True, env=env,
+    )
+    line = f"error: {cfg}: at model: expected an object, got [1, 2]\n"
+    assert result.returncode == 1
+    assert result.stdout == ""
+    if level is None:
+        assert result.stderr == line
+    else:
+        assert result.stderr.startswith("DEBUG gausep: threshold failed\nTraceback")
+        assert "FieldError" in result.stderr
+        assert result.stderr.endswith(line)

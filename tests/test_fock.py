@@ -337,6 +337,12 @@ def test_space_validation():
         FockSpace(8, modes=3)
 
 
+def test_cutoff_is_capped_before_any_operator_is_built():
+    with pytest.raises(ValueError, match="cutoff must be from 2 to 32"):
+        FockSpace(10**9)
+    assert FockSpace(32).dim == 32**2
+
+
 def dense_liouvillian(fgen):
     """Column-stacked superoperator: vec(A X B) = (B^T kron A) vec(X)."""
     half = fgen.half_generator.toarray()
