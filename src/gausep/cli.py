@@ -162,6 +162,10 @@ def _initial_state(data: dict, layout) -> CovarianceMatrix:
     if mat is None:
         return CovarianceMatrix.vacuum(layout)
     try:
+        # a square matrix is read as its symmetric part; CovarianceMatrix
+        # names any other shape
+        if mat.shape == (layout.dim, layout.dim):
+            mat = 0.5 * (mat + mat.T)
         return CovarianceMatrix(mat, layout)
     except ValueError as exc:
         raise ConfigError(f"initial_covariance: {exc}") from exc
@@ -397,12 +401,16 @@ def _feasibility(model) -> float:
     return 1.0
 
 
-def evaluate_point(model_dict: dict, spec: SweepSpec, values: tuple) -> list[float]:
-    """Pure per-grid-point evaluation; safe to run in a worker process."""
+def point_model(model_dict: dict, spec: SweepSpec, values: tuple):
+    """The model at one grid point: ``model_dict`` with each axis set to its value."""
     local = json.loads(json.dumps(model_dict))
     for axis, value in zip(spec.axes, values):
         set_by_path(local, axis.path, float(value))
-    model = model_from_dict(local, ("model",))
+    return model_from_dict(local, ("model",))
+
+
+def evaluate_point(model, spec: SweepSpec) -> list[float]:
+    """Pure per-grid-point evaluation; safe to run in a worker process."""
     row = []
     ppt = None
     if {"nu_tilde_minus", "log_negativity"} & set(spec.outputs):
@@ -423,8 +431,7 @@ def evaluate_point(model_dict: dict, spec: SweepSpec, values: tuple) -> list[flo
 
 
 def _sweep_worker(payload):
-    model_dict, spec, values = payload
-    return evaluate_point(model_dict, spec, values)
+    return evaluate_point(*payload)
 
 
 def _config_digest(data: dict) -> str:
@@ -449,12 +456,7 @@ def cmd_sweep(args) -> int:
     data = load_config(args.config, _SWEEP_SCHEMA)
     spec = SweepSpec.from_config(data["sweep"])
     model_dict = data["model"]
-    # Validate the base model and axis paths up front so typos fail before
-    # any output file is touched.
     _model_from_config(data)
-    scratch = json.loads(json.dumps(model_dict))
-    for axis in spec.axes:
-        set_by_path(scratch, axis.path, axis.lo)
     grids = [axis.values() for axis in spec.axes]
     points = list(itertools.product(*grids))
     digest = _config_digest(data)
@@ -469,7 +471,9 @@ def cmd_sweep(args) -> int:
         _LOG.info("resuming sweep at row %d of %d", done, len(points))
 
     remaining = points[done:]
-    payloads = [(model_dict, spec, values) for values in remaining]
+    # each remaining grid point's model is built before any output is touched,
+    # so a bad axis path or a value no model accepts fails first
+    payloads = [(point_model(model_dict, spec, values), spec) for values in remaining]
     with open(out_path, mode, newline="") as stream:
         writer = _csv_writer(stream)
         if not done:

@@ -293,11 +293,6 @@ class Fields:
         """The non-empty, rectangular ``ndim``-deep array of numbers at ``key``."""
         if key not in self.data and default is not _ABSENT:
             return default
-        # a full grid of JSON numbers is cleared at once; else each element is
-        # read, which names the first one that is wrong
-        grid = np.array(self.data.get(key), dtype=object)
-        if grid.ndim == ndim and grid.size and {int, float}.issuperset(map(type, grid.flat)):
-            return grid.astype(float)
         seq = self.array(key)
         rows = [seq.numbers(i, ndim - 1) if ndim > 1 else seq.number(i) for i in seq.data]
         if len(set(map(np.shape, rows))) > 1:

@@ -526,6 +526,8 @@ def sweep_config(**sweep):
         ({"axes": [{"path": "coupling.strength", "min": 0.5, "max": 1.5, "points": 3,
                     "scale": "cubic"}]},
          'sweep/axes/0/scale: expected one of "lin", "log", got "cubic"'),
+        ({"axes": [{"path": "layout.n_a", "min": 1, "max": 2, "points": 3}]},
+         "model/layout/n_a: expected an integer >= 1, got 1.5"),
     ],
 )
 def test_sweep_config_errors_name_their_path_before_any_output(
@@ -629,9 +631,9 @@ def test_non_finite_initial_covariance_exits_one_before_output(tmp_path, capsys,
 @pytest.mark.parametrize(
     "matrix, reason",
     [
-        ([[0.5, 0.4, 0, 0], [-0.4, 0.5, 0, 0], [0, 0, 0.5, 0], [0, 0, 0, 0.5]],
-         "covariance matrix is not symmetric"),
         ([[0.5, 0.0], [0.0, 0.5]], "covariance matrix must have shape (4, 4), got (2, 2)"),
+        ([[0.5, 0.0, 0.0, 0.0], [0.0, 0.5, 0.0, 0.0]],
+         "covariance matrix must have shape (4, 4), got (2, 4)"),
     ],
 )
 def test_unusable_initial_covariance_exits_one_before_output(tmp_path, capsys, matrix, reason):
@@ -640,6 +642,20 @@ def test_unusable_initial_covariance_exits_one_before_output(tmp_path, capsys, m
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: initial_covariance: {reason}\n"
+
+
+def test_initial_covariance_is_read_as_its_symmetric_part(tmp_path, capsys):
+    skew = np.zeros((4, 4))
+    skew[0, 1], skew[1, 0] = 0.4, -0.4
+    base = np.diag([0.8, 0.6, 0.5, 0.7])
+    series = []
+    for matrix in (base, base + skew):
+        cfg = write_config(tmp_path, {**model_config(1.0), "initial_covariance": matrix.tolist()})
+        assert main(["evolve", "--config", cfg, "--t", "0.1", "--steps", "2"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        series.append(captured.out)
+    assert series[0] == series[1]
 
 
 @pytest.mark.parametrize("command", ["threshold", "locc-verify"])
