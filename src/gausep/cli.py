@@ -12,6 +12,7 @@ import argparse
 import csv
 import functools
 import hashlib
+import io
 import itertools
 import json
 import logging
@@ -440,16 +441,39 @@ def _config_digest(data: dict) -> str:
     ).hexdigest()
 
 
-def _load_checkpoint(ckpt_path: Path, out_path: Path, digest: str) -> int:
+def _header_line(header: list[str]) -> bytes:
+    """The CSV header row as the sweep writes it."""
+    buffer = io.StringIO()
+    _csv_writer(buffer).writerow(header)
+    return buffer.getvalue().encode("utf-8")
+
+
+def _resume_rows(
+    ckpt_path: Path, out_path: Path, digest: str, header: bytes, total: int
+) -> tuple[int, int]:
+    """``(rows, size)``: the complete rows an interrupted sweep left in its
+    CSV and the bytes they end at, or ``(0, 0)`` to start over.
+
+    The checkpoint only ties the CSV to its config.  The rows are counted in
+    the CSV itself, so a row written just before an interruption is never
+    written twice, and a trailing partial row lies beyond ``size``; a header
+    or a row count that does not fit the grid starts the sweep over.
+    """
     if not (ckpt_path.exists() and out_path.exists()):
-        return 0
+        return 0, 0
     try:
         state = json.loads(ckpt_path.read_text())
-    except (OSError, json.JSONDecodeError):
-        return 0
-    if state.get("config_sha256") != digest:
-        return 0
-    return int(state.get("rows_done", 0))
+    except (OSError, ValueError):
+        return 0, 0
+    if not isinstance(state, dict) or state.get("config_sha256") != digest:
+        return 0, 0
+    data = out_path.read_bytes()
+    if not data.startswith(header):
+        return 0, 0
+    # the header ends in a line break, so the last complete line is found
+    size = data.rfind(b"\r\n") + 2
+    rows = data.count(b"\r\n", len(header), size)
+    return (rows, size) if rows <= total else (0, 0)
 
 
 def cmd_sweep(args) -> int:
@@ -460,13 +484,12 @@ def cmd_sweep(args) -> int:
     grids = [axis.values() for axis in spec.axes]
     points = list(itertools.product(*grids))
     digest = _config_digest(data)
+    header = [axis.path for axis in spec.axes] + list(spec.outputs)
 
     out_path = Path(args.out)
     ckpt_path = out_path.with_name(out_path.name + ".ckpt")
-    done = _load_checkpoint(ckpt_path, out_path, digest)
-    if done > len(points):
-        done = 0
-    mode = "a" if done else "w"
+    header_line = _header_line(header)
+    done, size = _resume_rows(ckpt_path, out_path, digest, header_line, len(points))
     if done:
         _LOG.info("resuming sweep at row %d of %d", done, len(points))
 
@@ -474,10 +497,14 @@ def cmd_sweep(args) -> int:
     # each remaining grid point's model is built before any output is touched,
     # so a bad axis path or a value no model accepts fails first
     payloads = [(point_model(model_dict, spec, values), spec) for values in remaining]
-    with open(out_path, mode, newline="") as stream:
+    if done:
+        os.truncate(out_path, size)  # a trailing partial row goes
+    else:
+        ckpt_path.write_text(json.dumps({"config_sha256": digest}) + "\n")
+    with open(out_path, "a" if done else "w", newline="", encoding="utf-8") as stream:
         writer = _csv_writer(stream)
         if not done:
-            writer.writerow([axis.path for axis in spec.axes] + list(spec.outputs))
+            writer.writerow(header)
         if args.jobs > 1 and payloads:
             pool = ProcessPoolExecutor(max_workers=args.jobs)
             chunk = max(1, len(payloads) // (args.jobs * 4))
@@ -490,11 +517,8 @@ def cmd_sweep(args) -> int:
                 writer.writerow(
                     [format_value(v) for v in values] + [format_value(r) for r in row]
                 )
+                # a complete row on disk is a row done: the resume counts them
                 stream.flush()
-                done += 1
-                ckpt_path.write_text(
-                    json.dumps({"config_sha256": digest, "rows_done": done}) + "\n"
-                )
         finally:
             if pool is not None:
                 pool.shutdown()

@@ -20,7 +20,8 @@ path with the Gaussian one.
   mod 2`` of every entry ``rho_mn`` (parities of the total number): the
   state is evolved as its even-even and odd-odd blocks (grade 0) and its
   even-odd and odd-even blocks (grade 1), and a grade that is zero on entry,
-  as grade 1 is from the vacuum, is never touched.
+  as grade 1 is from the vacuum, is never touched.  Each Taylor term is
+  evolved on its occupied shells of total number only.
   The right-hand side, :func:`lindblad_rhs`, uses that every Taylor term of
   a Hermitian state is Hermitian, so it needs one sparse product with the
   non-Hermitian part of the generator and two per Lindblad, block by block;
@@ -124,11 +125,32 @@ class FockSpace:
             self, [0.5 * (qj @ qk + qk @ qj) for qj in quads for qk in quads]
         )
 
+    @property
+    def top(self) -> int:
+        """The largest total number, the top shell."""
+        return self.modes * (self.cutoff - 1)
+
+    @functools.cached_property
+    def _totals(self) -> np.ndarray:
+        return np.indices((self.cutoff,) * self.modes).sum(axis=0).ravel()
+
     @functools.cached_property
     def sectors(self) -> tuple[np.ndarray, np.ndarray]:
-        """Indices of the basis states of even and of odd total number."""
-        total = np.indices((self.cutoff,) * self.modes).sum(axis=0).ravel()
-        return np.flatnonzero(total % 2 == 0), np.flatnonzero(total % 2 == 1)
+        """Indices of the basis states of even and of odd total number,
+        shell by shell (Fock order within one), so the states of total at
+        most ``R`` lead each sector."""
+        shells = [np.flatnonzero(self._totals == n) for n in range(self.top + 1)]
+        return np.concatenate(shells[0::2]), np.concatenate(shells[1::2])
+
+    @functools.cached_property
+    def _windows(self) -> tuple[list[int], list[int]]:
+        """``_windows[j][R]``: the states of sector ``j`` of total at most
+        ``R``, for ``R`` up to ``top + 2``."""
+        shells = np.arange(self.top + 3)
+        return tuple(
+            np.searchsorted(self._totals[idx], shells, side="right").tolist()
+            for idx in self.sectors
+        )
 
     @functools.cached_property
     def _block_indices(self) -> dict[int, tuple[np.ndarray, np.ndarray]]:
@@ -149,7 +171,7 @@ class FockSpace:
 class FockGenerator:
     """Sparse master-equation pieces.
 
-    ``half_generator`` is the precomputed non-Hermitian combination
+    ``half_generator`` is the non-Hermitian combination
     ``-iH - (1/2) sum_k q_k L_k^2``.  As ``||A X||_s <= ||A||_1 ||X||_s`` and
     ``||X A||_s <= ||A||_inf ||X||_s`` in the entrywise 1-norm ``||.||_s``,
     ``norm_bound = 2 ||half||_1 + sum_k q_k ||L_k||_1 ||L_k||_inf`` bounds
@@ -161,16 +183,31 @@ class FockGenerator:
     ``half_blocks`` holds ``half``'s diagonal blocks ``(half_0, half_1)``, and
     ``split_lindblads`` holds, for each ``S_k = sqrt(q_k/2) L_k``, the factor
     :func:`lindblad_rhs` applies twice, its off-diagonal blocks
-    ``(S_01, S_10)``; every other block is empty.
+    ``(S_01, S_10)``, real when ``L_k`` is; every other block is empty.
+    The full-space ``hamiltonian``, ``half_generator`` and ``lindblads``
+    (at ``rates``) are built on first use from ``entries``, theirs on the
+    space's shared patterns.
     """
 
     space: FockSpace
-    hamiltonian: sp.csr_array
-    lindblads: tuple[tuple[float, sp.csr_array], ...]
-    half_generator: sp.csr_array
     norm_bound: float
     half_blocks: tuple[sp.csr_array, sp.csr_array]
     split_lindblads: tuple[tuple[sp.csr_array, sp.csr_array], ...]
+    rates: tuple[float, ...]
+    entries: tuple[np.ndarray, np.ndarray, np.ndarray]
+
+    @functools.cached_property
+    def hamiltonian(self) -> sp.csr_array:
+        return self.space._quadratic.matrix(self.entries[0])
+
+    @functools.cached_property
+    def half_generator(self) -> sp.csr_array:
+        return self.space._quadratic.matrix(self.entries[1])
+
+    @functools.cached_property
+    def lindblads(self) -> tuple[tuple[float, sp.csr_array], ...]:
+        linear = self.space._linear
+        return tuple((r, linear.matrix(op)) for r, op in zip(self.rates, self.entries[2]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -260,7 +297,8 @@ def build_fock_generator(
     The operators are combinations of the quadratures and their symmetrized
     products, which the space keeps on shared patterns: ``H`` and ``half``
     are one product with the ``n^2`` products, the Lindblads one with the
-    ``n`` quadratures, and every sector block a gather from those entries.
+    ``n`` quadratures, and every sector block a gather from those entries;
+    only the blocks are built here, the full-space matrices on first use.
     """
     n = len(space.quadratures())
     if g_form.shape != (n, n) or q_form.shape != (n, n):
@@ -278,18 +316,21 @@ def build_fock_generator(
     h, half = quadratic.combine([0.5 * g_form, -0.5j * g_form - 0.5 * squares])
     ops = linear.combine(vecs.T)
     rates = rates.tolist()
+    splits = []
+    for r, op in zip(rates, ops):
+        split = math.sqrt(0.5 * r) * op
+        # a position-only direction is real: keep it real for the real kernel
+        if not split.imag.any():
+            split = split.real
+        splits.append(tuple(linear.block(split, j, 1 - j) for j in (0, 1)))
     return FockGenerator(
         space=space,
-        hamiltonian=quadratic.matrix(h),
-        lindblads=tuple((r, linear.matrix(op)) for r, op in zip(rates, ops)),
-        half_generator=quadratic.matrix(half),
         norm_bound=2.0 * quadratic.norm(half, 0)
         + sum(r * linear.norm(op, 0) * linear.norm(op, 1) for r, op in zip(rates, ops)),
         half_blocks=tuple(quadratic.block(half, j, j) for j in (0, 1)),
-        split_lindblads=tuple(
-            tuple(linear.block(math.sqrt(0.5 * r) * op, j, 1 - j) for j in (0, 1))
-            for r, op in zip(rates, ops)
-        ),
+        split_lindblads=tuple(splits),
+        rates=tuple(rates),
+        entries=(h, half, ops),
     )
 
 
@@ -306,19 +347,33 @@ def fock_generator_from_model(model: SystemModel, cutoff: int) -> FockGenerator:
     return build_fock_generator(space, hamiltonian_form(model), noise_form(model))
 
 
-def _matmul_add(a: sp.csr_array, x: np.ndarray, out: np.ndarray) -> None:
-    """``out += a @ x`` in place, for C-contiguous complex ``x`` and ``out``.
+def _matmul_add(
+    a: sp.csr_array, x: np.ndarray, out: np.ndarray, rows: int | None = None
+) -> None:
+    """``out += a[:rows] @ x`` in place, for C-contiguous complex ``x`` and ``out``.
 
     This is the kernel behind ``csr_array @ ndarray`` without the freshly
-    zeroed output array that operator allocates on every call.
+    zeroed output array that operator allocates on every call.  A real
+    ``a`` takes the complex entries as float pairs: the same sums at half
+    the arithmetic.  For a prefix of the rows, ``x`` must cover every
+    column they store; the caller guarantees that.
     """
     if not (x.flags.c_contiguous and out.flags.c_contiguous):
         raise ValueError("operands must be C-contiguous")
-    if not (a.dtype == x.dtype == out.dtype == np.complex128):
-        raise ValueError("operands must be complex128")
-    rows, cols = a.shape
-    if x.ndim != 2 or x.shape[0] != cols or out.shape != (rows, x.shape[1]):
+    real = a.dtype == np.float64
+    if not (x.dtype == out.dtype == np.complex128 and (real or a.dtype == np.complex128)):
+        raise ValueError("operands must be complex128, the matrix real or complex128")
+    n_rows, cols = a.shape
+    rows = n_rows if rows is None else rows
+    full = rows == n_rows
+    if (
+        x.ndim != 2
+        or not (x.shape[0] == cols if full else 0 <= rows < n_rows and x.shape[0] <= cols)
+        or out.shape != (rows, x.shape[1])
+    ):
         raise ValueError("operand shapes do not match")
+    if real:
+        x, out = x.view(np.float64), out.view(np.float64)
     _sparsetools.csr_matvecs(
         rows, cols, x.shape[1], a.indptr, a.indices, a.data, x.ravel(), out.ravel()
     )
@@ -351,47 +406,58 @@ def _join_sectors(space: FockSpace, blocks: Sectors) -> np.ndarray:
     return rho.reshape(space.dim, space.dim)
 
 
-def _sector_buffer(space: FockSpace, grades) -> tuple[np.ndarray, Sectors]:
-    """One flat complex array and the blocks of ``grades`` as views into it."""
+def _window_shape(space: FockSpace, grade: int, j: int, reach: int) -> tuple[int, int]:
+    """The shape of block ``j`` of ``grade`` up to total number ``reach``."""
+    windows = space._windows
+    return windows[j][reach], windows[j ^ grade][reach]
+
+
+def _sector_views(space: FockSpace, flat: np.ndarray, grades, reach: int) -> Sectors:
+    """The blocks of ``grades`` up to ``reach``, packed from the start of ``flat``."""
+    views, start = {}, 0
+    for g in grades:
+        pair = []
+        for j in (0, 1):
+            rows, cols = _window_shape(space, g, j, reach)
+            pair.append(flat[start : start + rows * cols].reshape(rows, cols))
+            start += rows * cols
+        views[g] = tuple(pair)
+    return views
+
+
+def _sector_size(space: FockSpace, grades) -> int:
+    return sum(
+        math.prod(_window_shape(space, g, j, space.top)) for g in grades for j in (0, 1)
+    )
+
+
+def _occupied_reach(space: FockSpace, blocks: Sectors) -> int:
+    """Largest total number of a nonzero row (of a Hermitian matrix), or 0."""
+    reach = 0
+    for pair in blocks.values():
+        for j, block in enumerate(pair):
+            rows = np.flatnonzero(block.any(axis=1))
+            if rows.size:
+                reach = max(reach, int(space._totals[space.sectors[j][rows[-1]]]))
+    return reach
+
+
+def _rhs_work(space: FockSpace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Flat scratch of :func:`lindblad_rhs`: ``inputs`` takes a grade's two
+    padded term blocks, then its two adjoints; ``product`` and ``swap`` one
+    block each."""
     n = [len(i) for i in space.sectors]
-    shapes = [(n[j], n[j ^ g]) for g in grades for j in (0, 1)]
-    sizes = [rows * cols for rows, cols in shapes]
-    flat = np.empty(sum(sizes), dtype=complex)
-    views = [v.reshape(s) for v, s in zip(np.split(flat, np.cumsum(sizes)[:-1]), shapes)]
-    return flat, {g: tuple(views[2 * i : 2 * i + 2]) for i, g in enumerate(grades)}
-
-
-def _rhs_work(space: FockSpace) -> dict[int, tuple]:
-    """Scratch of :func:`lindblad_rhs`: ``(products, swaps, adjoints)`` by grade.
-
-    Products and swaps live for one Lindblad term, so every block and grade
-    shares one pair of flat arrays; the two adjoints of a grade are live
-    together and share a third.
-    """
-    n = [len(i) for i in space.sectors]
+    inputs = np.empty(n[0] ** 2 + n[1] ** 2, dtype=complex)
     product, swap = np.empty((2, max(n) ** 2), dtype=complex)
-    adjoint = np.empty(n[0] ** 2 + n[1] ** 2, dtype=complex)
-
-    def view(buf: np.ndarray, rows: int, cols: int, start: int = 0) -> np.ndarray:
-        return buf[start : start + rows * cols].reshape(rows, cols)
-
-    work = {}
-    for g in (0, 1):
-        products = tuple(view(product, n[j ^ g], n[1 - j]) for j in (0, 1))
-        swaps = tuple(view(swap, n[1 - j], n[j ^ g]) for j in (0, 1))
-        adjoints = (
-            view(adjoint, n[0], n[g]),
-            view(adjoint, n[1], n[1 - g], n[0] * n[g]),
-        )
-        work[g] = (products, swaps, adjoints)
-    return work
+    return inputs, product, swap
 
 
 def lindblad_rhs(
     gen: FockGenerator,
     term: Sectors,
     out: Sectors | None = None,
-    work: dict | None = None,
+    work: tuple | None = None,
+    reach: int | None = None,
 ) -> Sectors:
     """Master-equation right-hand side on the parity blocks of a Hermitian matrix.
 
@@ -412,27 +478,76 @@ def lindblad_rhs(
     every block is one product with ``half``'s block and two per Lindblad
     of a quarter of the ``d x d`` work.
 
-    ``out`` (blocks shaped as ``term``) and ``work`` (from
+    ``half`` moves the total number by 0 or 2 and ``S_k`` by 1, so for a
+    ``rho`` within total ``reach`` (default the top), ``L(rho)`` is within
+    ``reach + 2``: ``term``'s blocks are their windows up to ``reach``
+    (:func:`_window_shape`), the result's those up to ``reach + 2``, and
+    only the operator rows up to there are multiplied, each input padded
+    with zero rows to those they read.  The skipped entries are exact zeros,
+    and the accumulation order is the whole blocks', so the result is too.
+
+    ``out`` (blocks shaped as the result) and ``work`` (from
     :func:`_rhs_work`) are optional preallocated buffers; ``out`` is
     overwritten and returned, and neither may overlap ``term``.
     """
+    space = gen.space
+    reach = space.top if reach is None else min(reach, space.top)
+    shell = min(reach + 2, space.top)
+    windows = space._windows
+    for grade, pair in term.items():
+        for j in (0, 1):
+            if pair[j].shape != _window_shape(space, grade, j, reach):
+                raise ValueError("term blocks do not match their reach")
     if out is None:
-        out = {g: tuple(np.empty_like(b) for b in pair) for g, pair in term.items()}
-    if work is None:
-        work = _rhs_work(gen.space)
+        out = {
+            g: tuple(np.empty(_window_shape(space, g, j, shell), complex) for j in (0, 1))
+            for g in term
+        }
+    inputs, product, swap = _rhs_work(space) if work is None else work
     for grade, pair in term.items():
         x = out[grade]
-        products, swaps, adjoints = work[grade]
+        padded = pair
+        if reach < space.top:
+            # half_r's rows up to the shell read rows up to shell + 2
+            padded, start = [], 0
+            for j, block in enumerate(pair):
+                size = windows[j][shell + 2] * block.shape[1]
+                view = inputs[start : start + size]
+                view[: block.size] = block.ravel()
+                view[block.size :] = 0.0
+                padded.append(view.reshape(windows[j][shell + 2], block.shape[1]))
+                start += size
         for j in (0, 1):
             c = j ^ grade  # block j holds rows of parity j, columns of parity c
-            x[j].fill(0.0)
-            _matmul_add(gen.half_blocks[j], pair[j], x[j])
+            rows, cols = x[j].shape
+            width = pair[j].shape[1]
+            if width == cols:
+                x[j].fill(0.0)
+                _matmul_add(gen.half_blocks[j], padded[j], x[j], rows)
+            else:
+                # half keeps the term's columns: sum into a narrow block first
+                narrow = product[: rows * width].reshape(rows, width)
+                narrow.fill(0.0)
+                _matmul_add(gen.half_blocks[j], padded[j], narrow, rows)
+                x[j][:, :width] = narrow
+                x[j][:, width:] = 0.0
+            inner = pair[1 - c].shape[1]  # the term's columns of parity rbar
+            held = windows[1 - j][shell + 1]  # rows of it S_{r rbar} reads
             for split in gen.split_lindblads:
-                products[j].fill(0.0)
-                _matmul_add(split[c], pair[1 - c], products[j])
-                _matmul_add(split[j], np.conj(products[j].T, out=swaps[j]), x[j])
+                products = product[: cols * inner].reshape(cols, inner)
+                products.fill(0.0)
+                _matmul_add(split[c], padded[1 - c], products, cols)
+                swaps = swap[: held * cols].reshape(held, cols)
+                np.conj(products.T, out=swaps[:inner])
+                swaps[inner:] = 0.0
+                _matmul_add(split[j], swaps, x[j], rows)
+        # the padded inputs are spent: their buffer takes the adjoints
+        adjoints, start = [], 0
         for j in (0, 1):
-            np.conj(x[j ^ grade].T, out=adjoints[j])
+            source = x[j ^ grade]
+            view = inputs[start : start + source.size].reshape(source.shape[::-1])
+            adjoints.append(np.conj(source.T, out=view))
+            start += source.size
         for block, adjoint in zip(x, adjoints):
             block += adjoint
     return out
@@ -494,10 +609,14 @@ def lindblad_integrate(
     and joined once at the end.  The generator never mixes the two grades,
     so a grade that is exactly zero on entry stays zero and is skipped: from
     the vacuum only the even-even and odd-odd blocks, half of the ``d x d``
-    entries, are ever read or written.  ``||.||_s`` is summed over the
-    evolved blocks.  The state is hermitized once on entry, after which
-    every Taylor term, and so the result, is exactly Hermitian; the final
-    truncation leakage must stay below the limit.  The blocks of the state
+    entries, are ever read or written.  If the state's nonzero rows reach
+    total ``R``, term ``k`` lies within ``R + 2k`` (capped at the top) and
+    is carried as the windows of its blocks up to there: from the vacuum,
+    only the states of total at most ``2k``.  ``||.||_s`` is summed over
+    those windows, outside which the term is exactly zero.
+    The state is hermitized once on entry, after which every Taylor term,
+    and so the result, is exactly Hermitian; the final truncation leakage
+    must stay below the limit.  The blocks of the state
     and of two Taylor terms, the right-hand side's work space and one real
     buffer for ``|T_k|`` are allocated once per call.
     """
@@ -509,28 +628,38 @@ def lindblad_integrate(
     entry = _split_sectors(space, rho0)
     live = [g for g, pair in entry.items() if any(block.any() for block in pair)]
     # one set of buffers for the whole integration, reused by every term
-    (state, state_blocks), (term, term_blocks), (following, following_blocks) = (
-        _sector_buffer(space, live) for _ in range(3)
-    )
+    size = _sector_size(space, live)
+    state, term, following = np.empty((3, size), dtype=complex)
+    state_blocks = _sector_views(space, state, live, space.top)
     work = _rhs_work(space)
-    magnitude = np.empty(state.shape)
+    magnitude = np.empty(size)
     for g in live:
         for j in (0, 1):
             np.add(entry[g][j], np.conj(entry[g][j ^ g].T), out=state_blocks[g][j])
     state *= 0.5
+    reach = _occupied_reach(space, state_blocks)
     for _ in range(steps):
         trace = sum(np.trace(b) for b in state_blocks.get(0, ()))
         floor = TAYLOR_TOL * float(trace.real)
-        term[...] = state
+        term_blocks = _sector_views(space, term, live, reach)
+        for g, pair in term_blocks.items():
+            for j, block in enumerate(pair):
+                block[...] = state_blocks[g][j][: block.shape[0], : block.shape[1]]
         for k in range(1, degree + 1):
-            lindblad_rhs(gen, term_blocks, out=following_blocks, work=work)
-            following *= t / (steps * k)
-            state += following
+            shell = min(reach + 2, space.top)
+            following_blocks = _sector_views(space, following, live, shell)
+            lindblad_rhs(gen, term_blocks, out=following_blocks, work=work, reach=reach)
+            used = sum(block.size for pair in following_blocks.values() for block in pair)
+            active = following[:used]
+            active *= t / (steps * k)
+            for g, pair in following_blocks.items():
+                for j, block in enumerate(pair):
+                    state_blocks[g][j][: block.shape[0], : block.shape[1]] += block
             term, following = following, term
-            term_blocks, following_blocks = following_blocks, term_blocks
+            term_blocks, reach = following_blocks, shell
             # the bound holds only for k + 1 > x; before that, skip the norm pass
             if k + 1 > x:
-                if np.abs(term, out=magnitude).sum() * x <= floor * (k + 1 - x):
+                if np.abs(active, out=magnitude[:used]).sum() * x <= floor * (k + 1 - x):
                     break
     out = _join_sectors(space, state_blocks)
     leak = leakage(space, out)

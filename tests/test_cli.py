@@ -1,6 +1,7 @@
 """Tests for the command-line front end."""
 
 import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -434,6 +435,85 @@ def test_sweep_resumes_from_the_row_checkpoint(tmp_path):
     assert main(["sweep", "--config", cfg, "--out", str(part)]) == 0
     assert part.read_bytes() == full.read_bytes()
     assert not (tmp_path / "part.csv.ckpt").exists()
+
+
+def interrupted_sweep(tmp_path, rows_in_csv, tail=b""):
+    """A finished sweep, and the same sweep cut after ``rows_in_csv`` rows.
+
+    The cut CSV ends in ``tail``, the start of a row not yet complete, and
+    its checkpoint says one row fewer, as a run interrupted between writing
+    a row and updating a per-row count would leave it.
+    """
+    payload = {
+        "model": json.loads(json.dumps(FREE_MASS)),
+        "sweep": {
+            "axes": [{"path": "coupling.strength", "min": 0.5, "max": 2.5,
+                      "points": 9}],
+            "outputs": ["margin", "feasibility"],
+        },
+    }
+    cfg = write_config(tmp_path, payload)
+    full = tmp_path / "full.csv"
+    main(["sweep", "--config", cfg, "--out", str(full)])
+    lines = full.read_bytes().split(b"\r\n")
+    part = tmp_path / "part.csv"
+    part.write_bytes(b"\r\n".join(lines[: rows_in_csv + 1]) + b"\r\n" + tail)
+    config = json.loads((tmp_path / "config.json").read_text())
+    digest = hashlib.sha256(json.dumps(config, sort_keys=True).encode()).hexdigest()
+    (tmp_path / "part.csv.ckpt").write_text(
+        json.dumps({"config_sha256": digest, "rows_done": rows_in_csv - 1})
+    )
+    return cfg, full, part
+
+
+def test_sweep_resumes_after_the_rows_in_the_csv_not_the_checkpoint_count(tmp_path):
+    cfg, full, part = interrupted_sweep(tmp_path, 5)
+    assert main(["sweep", "--config", cfg, "--out", str(part)]) == 0
+    assert part.read_bytes() == full.read_bytes()
+    assert not (tmp_path / "part.csv.ckpt").exists()
+
+
+def test_sweep_resume_cuts_a_trailing_partial_row(tmp_path):
+    cfg, full, part = interrupted_sweep(tmp_path, 5, tail=b"1.75,0.4")
+    assert main(["sweep", "--config", cfg, "--out", str(part)]) == 0
+    assert part.read_bytes() == full.read_bytes()
+
+
+def test_sweep_with_a_foreign_header_or_too_many_rows_starts_over(tmp_path):
+    cfg, full, part = interrupted_sweep(tmp_path, 5)
+    ckpt = (tmp_path / "part.csv.ckpt").read_text()
+    part.write_bytes(b"other,header\r\n" + part.read_bytes().split(b"\r\n", 1)[1])
+    assert main(["sweep", "--config", cfg, "--out", str(part)]) == 0
+    assert part.read_bytes() == full.read_bytes()
+    (tmp_path / "part.csv.ckpt").write_text(ckpt)
+    part.write_bytes(full.read_bytes() + full.read_bytes().split(b"\r\n", 1)[1])
+    assert main(["sweep", "--config", cfg, "--out", str(part)]) == 0
+    assert part.read_bytes() == full.read_bytes()
+
+
+def test_sweep_checkpoint_is_written_once_before_the_first_row(tmp_path, monkeypatch):
+    payload = {
+        "model": json.loads(json.dumps(FREE_MASS)),
+        "sweep": {
+            "axes": [{"path": "coupling.strength", "min": 0.5, "max": 2.5,
+                      "points": 4}],
+            "outputs": ["margin"],
+        },
+    }
+    cfg = write_config(tmp_path, payload)
+    out = tmp_path / "grid.csv"
+    seen = []
+    worker = cli._sweep_worker
+
+    def watching_worker(item):
+        seen.append(json.loads((tmp_path / "grid.csv.ckpt").read_text()))
+        return worker(item)
+
+    monkeypatch.setattr(cli, "_sweep_worker", watching_worker)
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+    assert len(seen) == 4 and all(state == seen[0] for state in seen)
+    assert set(seen[0]) == {"config_sha256"}
+    assert not (tmp_path / "grid.csv.ckpt").exists()
 
 
 def test_sweep_feasibility_flips_at_the_threshold(tmp_path):

@@ -1,11 +1,14 @@
 """Tests for the dense truncated-space oracle."""
 
+import dataclasses
 import math
 
 import mpmath
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.polynomial.hermite import hermgauss
 from scipy.linalg import expm
 
@@ -15,6 +18,7 @@ from gausep.fock import (
     _join_sectors,
     _matmul_add,
     _rhs_work,
+    _sector_views,
     _split_sectors,
     _taylor_schedule,
     FockSpace,
@@ -544,10 +548,8 @@ def test_rhs_buffers_are_filled_and_returned():
     blocks = _split_sectors(space, rho)
     out = {g: tuple(np.full_like(b, np.nan) for b in pair) for g, pair in blocks.items()}
     work = _rhs_work(space)
-    for views in work.values():
-        for buffers in views:
-            for buffer in buffers:
-                buffer.fill(np.nan)
+    for buffer in work:
+        buffer.fill(np.nan)
     assert lindblad_rhs(fgen, blocks, out=out, work=work) is out
     joined = _join_sectors(space, out)
     fresh = _join_sectors(space, lindblad_rhs(fgen, blocks))
@@ -594,6 +596,8 @@ def test_space_sectors_split_the_basis_by_total_parity():
         total = np.array([sum(divmod(i, cutoff)) for i in range(space.dim)])
         assert np.all(total[even] % 2 == 0) and np.all(total[odd] % 2 == 1)
         assert sorted([*even, *odd]) == list(range(space.dim))
+        # sorted by total number, so every shell-capped window is a prefix
+        assert np.all(np.diff(total[even]) >= 0) and np.all(np.diff(total[odd]) >= 0)
 
 
 @pytest.mark.parametrize("cutoff", [4, 5])
@@ -781,3 +785,167 @@ def test_channel_steps_reject_a_non_finite_or_nonpositive_dt(dt):
             protocol_kraus_step(space, space.vacuum(), p, dt)
         with pytest.raises(ValueError, match="finite and positive"):
             protocol_step(CovarianceMatrix.vacuum(model.layout), p, dt)
+
+
+# -- Taylor terms on their occupied shells ------------------------------------
+
+
+def low_reach_state(space, reach, seed):
+    """Random state on the basis states of total number at most ``reach``.
+
+    It has entries of both grades, so grade 1 is evolved too.
+    """
+    rho = random_state(space.dim, seed)
+    low = space._totals <= reach
+    rho[~low, :] = 0.0
+    rho[:, ~low] = 0.0
+    return rho / np.trace(rho)
+
+
+def fock_number_state(space, n_a, n_b):
+    rho = np.zeros((space.dim, space.dim), dtype=complex)
+    index = n_a * space.cutoff + n_b
+    rho[index, index] = 1.0
+    return rho
+
+
+def integrate_at_full_reach(monkeypatch, fgen, rho, t):
+    """The integrator with every term carried over the whole blocks."""
+    with monkeypatch.context() as patch:
+        patch.setattr(fock, "_occupied_reach", lambda space, blocks: space.top)
+        return lindblad_integrate(fgen, rho, t, leakage_limit=1.0)
+
+
+@pytest.mark.parametrize("cutoff", [6, 12, 16])
+@pytest.mark.parametrize(
+    "state, t",
+    [("vacuum", 0.01), ("vacuum", 0.3), ("one-one", 0.01), ("low-reach", 0.02)],
+)
+def test_windowed_terms_equal_full_reach_terms_bitwise(monkeypatch, cutoff, state, t):
+    """The windows skip exact zeros only: every entry comes out the same."""
+    fgen = fock_generator_from_model(correlated_model(), cutoff)
+    space = fgen.space
+    rho0 = {
+        "vacuum": space.vacuum(),
+        "one-one": fock_number_state(space, 1, 1),
+        "low-reach": low_reach_state(space, 3, cutoff),
+    }[state]
+    if t == 0.3:
+        assert _taylor_schedule(fgen, t)[1] > 1
+    windowed = lindblad_integrate(fgen, rho0, t, leakage_limit=1.0)
+    np.testing.assert_array_equal(windowed, integrate_at_full_reach(monkeypatch, fgen, rho0, t))
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    reach=st.integers(0, 10),
+    seed=st.integers(0, 2**16),
+    t=st.sampled_from([0.005, 0.05, 0.4]),
+    real_noise=st.booleans(),
+)
+def test_windowed_terms_equal_full_reach_terms_on_random_states(reach, seed, t, real_noise):
+    model = (
+        rank1_model(0.9, 0.8, 0.95, h_a=0.5 * np.eye(2), h_b=0.5 * np.eye(2))
+        if real_noise
+        else correlated_model()
+    )
+    fgen = fock_generator_from_model(model, cutoff=8)
+    rho0 = low_reach_state(fgen.space, reach, seed)
+    windowed = lindblad_integrate(fgen, rho0, t, leakage_limit=1.0)
+    with pytest.MonkeyPatch.context() as patch:
+        full = integrate_at_full_reach(patch, fgen, rho0, t)
+    np.testing.assert_array_equal(windowed, full)
+    # and both are the series of the whole state, not of a cut of it
+    assert np.abs(windowed - reference_integrate(fgen, rho0, t)).max() <= 1e-13
+
+
+def test_a_vacuum_chunk_hands_term_k_the_states_up_to_total_2k(monkeypatch):
+    """At cutoff 24 term k multiplies at most m(2k) operator rows per block."""
+    model = rank1_model(0.9, 0.8, 0.95, h_a=0.5 * np.eye(2), h_b=0.5 * np.eye(2))
+    fgen = fock_generator_from_model(model, cutoff=24)
+    windows = fgen.space._windows
+    rows_by_term = []
+    rhs, matmul_add = fock.lindblad_rhs, fock._matmul_add
+
+    def counting_rhs(*args, **kwargs):
+        rows_by_term.append([])
+        return rhs(*args, **kwargs)
+
+    def spying_matmul_add(a, x, out, rows=None):
+        rows_by_term[-1].append(a.shape[0] if rows is None else rows)
+        return matmul_add(a, x, out, rows)
+
+    monkeypatch.setattr(fock, "lindblad_rhs", counting_rhs)
+    monkeypatch.setattr(fock, "_matmul_add", spying_matmul_add)
+    lindblad_integrate(fgen, fgen.space.vacuum(), 0.01)
+    assert 1 < len(rows_by_term) < 20
+    for k, rows in enumerate(rows_by_term, start=1):
+        assert max(rows) == max(windows[j][2 * k] for j in (0, 1))
+    assert max(rows_by_term[-1]) < len(fgen.space.sectors[0]) // 2
+
+
+def test_operator_blocks_move_the_total_number_by_at_most_two():
+    """The row padding of ``lindblad_rhs`` covers every column an operator row reads."""
+    for cutoff in (5, 12):
+        space = FockSpace(cutoff)
+        totals = [space._totals[idx] for idx in space.sectors]
+        for pattern, move in ((space._quadratic, 2), (space._linear, 1)):
+            for (r, c), (_, rows, cols, _) in pattern.blocks.items():
+                step = np.abs(totals[r][rows] - totals[c][cols])
+                assert step.size == 0 or step.max() <= move
+
+
+def test_windowed_rhs_is_the_whole_rhs_on_its_window():
+    fgen = fock_generator_from_model(correlated_model(), cutoff=7)
+    space = fgen.space
+    rho = low_reach_state(space, 5, 31)
+    whole = lindblad_rhs(fgen, _split_sectors(space, rho))
+    size = sum(b.size for pair in whole.values() for b in pair)
+    term = _sector_views(space, np.empty(size, dtype=complex), (0, 1), 5)
+    for g, pair in term.items():
+        for j, block in enumerate(pair):
+            block[...] = _split_sectors(space, rho)[g][j][: block.shape[0], : block.shape[1]]
+    work = _rhs_work(space)
+    for buffer in work:
+        buffer.fill(np.nan)
+    windowed = lindblad_rhs(fgen, term, work=work, reach=5)
+    for g in (0, 1):
+        for j in (0, 1):
+            rows, cols = windowed[g][j].shape
+            assert (rows, cols) == (space._windows[j][7], space._windows[j ^ g][7])
+            np.testing.assert_array_equal(windowed[g][j], whole[g][j][:rows, :cols])
+            assert not whole[g][j][rows:].any() and not whole[g][j][:, cols:].any()
+    with pytest.raises(ValueError, match="reach"):
+        lindblad_rhs(fgen, term, reach=4)
+
+
+def test_position_noise_is_applied_by_the_real_kernel_bitwise():
+    """Real Lindblad blocks give exactly the complex kernel's right-hand side."""
+    model = rank1_model(0.9, 0.8, 0.95, h_a=0.5 * np.eye(2), h_b=0.5 * np.eye(2))
+    fgen = fock_generator_from_model(model, cutoff=8)
+    assert all(b.dtype == np.float64 for split in fgen.split_lindblads for b in split)
+    generic = fock_generator_from_model(correlated_model(), cutoff=8)
+    assert all(b.dtype == np.complex128 for split in generic.split_lindblads for b in split)
+    complex_splits = tuple(
+        tuple(b.astype(complex) for b in split) for split in fgen.split_lindblads
+    )
+    as_complex = dataclasses.replace(fgen, split_lindblads=complex_splits)
+    blocks = _split_sectors(fgen.space, low_reach_state(fgen.space, 14, 5))
+    real, cplx = lindblad_rhs(fgen, blocks), lindblad_rhs(as_complex, blocks)
+    for g in (0, 1):
+        for j in (0, 1):
+            np.testing.assert_array_equal(real[g][j], cplx[g][j])
+    rng = np.random.default_rng(3)
+    a = sp.csr_array(np.where(rng.random((9, 6)) < 0.4, rng.normal(size=(9, 6)), 0.0))
+    x = rng.normal(size=(6, 4)) + 1j * rng.normal(size=(6, 4))
+    out = np.zeros((9, 4), dtype=complex)
+    _matmul_add(a, x, out)
+    np.testing.assert_array_equal(out, a.astype(complex) @ x)
+
+
+def test_full_space_operators_are_built_on_first_use():
+    fgen = fock_generator_from_model(correlated_model(), cutoff=6)
+    lazy = ("hamiltonian", "half_generator", "lindblads")
+    assert not any(name in vars(fgen) for name in lazy)
+    assert fgen.hamiltonian is fgen.hamiltonian
+    assert all(op.dtype == np.complex128 for _, op in fgen.lindblads)
