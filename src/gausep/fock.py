@@ -365,10 +365,11 @@ def _matmul_add(
         raise ValueError("operands must be complex128, the matrix real or complex128")
     n_rows, cols = a.shape
     rows = n_rows if rows is None else rows
-    full = rows == n_rows
     if (
         x.ndim != 2
-        or not (x.shape[0] == cols if full else 0 <= rows < n_rows and x.shape[0] <= cols)
+        or not 0 <= rows <= n_rows
+        or x.shape[0] > cols
+        or (rows == n_rows and x.shape[0] != cols)
         or out.shape != (rows, x.shape[1])
     ):
         raise ValueError("operand shapes do not match")
@@ -423,12 +424,6 @@ def _sector_views(space: FockSpace, flat: np.ndarray, grades, reach: int) -> Sec
             start += rows * cols
         views[g] = tuple(pair)
     return views
-
-
-def _sector_size(space: FockSpace, grades) -> int:
-    return sum(
-        math.prod(_window_shape(space, g, j, space.top)) for g in grades for j in (0, 1)
-    )
 
 
 def _occupied_reach(space: FockSpace, blocks: Sectors) -> int:
@@ -628,7 +623,9 @@ def lindblad_integrate(
     entry = _split_sectors(space, rho0)
     live = [g for g, pair in entry.items() if any(block.any() for block in pair)]
     # one set of buffers for the whole integration, reused by every term
-    size = _sector_size(space, live)
+    size = sum(
+        math.prod(_window_shape(space, g, j, space.top)) for g in live for j in (0, 1)
+    )
     state, term, following = np.empty((3, size), dtype=complex)
     state_blocks = _sector_views(space, state, live, space.top)
     work = _rhs_work(space)
