@@ -30,9 +30,14 @@ path with the Gaussian one.
   as an explicit record average, done in the eigenbasis of the measured and
   fed quadratures where every Kraus factor is diagonal, so the average is an
   elementwise multiplier on the density matrix, exact in closed form (each
-  entry of the record integral is a Gaussian integral of a phase).  Basis
-  changes act mode by mode, and :func:`protocol_kraus_step` fuses each with
-  the next: one per channel plus one for the local unitary;
+  entry of the record integral is a Gaussian integral of a phase): one real
+  exponential, at most 1, times unit phases over three of the four mode
+  indices of an entry, applied to the state in place.  Basis changes act
+  mode by mode, on the complex entries as float pairs where both one-mode
+  factors are real (a position quadrature's eigenbasis is), and
+  :func:`protocol_kraus_step` fuses each with the next: one per channel
+  plus one for the local unitary, whose one-mode factors come from the
+  eigendecompositions of the one-mode Hamiltonians;
 * :func:`log_negativity_dense` evaluates entanglement from the partial
   transpose of the dense state, which keeps the grade of every entry, so
   for a grade-0 state it diagonalizes the even and odd blocks apart; a
@@ -703,42 +708,80 @@ def product_state(rho_a: np.ndarray, rho_b: np.ndarray) -> np.ndarray:
 
 
 def _quadrature_eigenbasis(space_1: FockSpace, vec: np.ndarray | None):
-    """Eigen-decomposition of ``vec . (x, p)`` on a single mode, of 0 for None."""
+    """Eigen-decomposition of ``vec . (x, p)`` on a single mode, of 0 for None.
+
+    A position direction (``vec[1] == 0``) is a real operator, and its
+    eigenbasis is taken real, so the basis changes into it can be real.
+    """
     if vec is None:
-        return np.zeros(space_1.cutoff), np.eye(space_1.cutoff, dtype=complex)
-    op = vec[0] * space_1.position().astype(complex) + vec[1] * space_1.momentum()
+        return np.zeros(space_1.cutoff), np.eye(space_1.cutoff)
+    op = vec[0] * space_1.position()
+    if vec[1] != 0:
+        op = op + vec[1] * space_1.momentum()
     return np.linalg.eigh(op)
 
 
-def _conjugate(rho: np.ndarray, u_a: np.ndarray, u_b: np.ndarray) -> np.ndarray:
-    """``(u_a (x) u_b) rho (u_a (x) u_b)^dagger`` as four mode-wise contractions.
+def _conjugate(
+    rho: np.ndarray, u_a: np.ndarray, u_b: np.ndarray, spare: np.ndarray
+) -> np.ndarray:
+    """``M rho^dagger M^dagger`` with ``M = u_a (x) u_b``: for Hermitian ``rho``,
+    ``M rho M^dagger``.
 
-    Each one-mode ``c x c`` factor acts on one axis of the ``(c, c, c, c)``
-    view of ``rho``, ``O(c^5)`` work in place of the ``O(c^6)`` of the
-    ``c^2 x c^2`` products.
+    ``M X`` is two mode-wise contractions, one on each row axis of the
+    ``(c, c, c^2)`` view of ``X``, ``O(c^5)`` work in place of the ``O(c^6)``
+    of the ``c^2 x c^2`` product, and the result is ``M (M rho)^dagger``:
+    the same two again on one adjoint.  When both factors are real they act
+    on the complex entries as float pairs, the same sums at half the
+    arithmetic.  ``rho`` and ``spare`` are distinct C-contiguous complex
+    ``c^2 x c^2`` arrays; the result is written to ``spare`` and returned,
+    and ``rho`` is overwritten.
     """
     c = u_a.shape[0]
-    r = (u_a @ rho.reshape(c, c**3)).reshape(c, c, c * c)
-    r = (u_b @ r).reshape(c**3, c)
-    r = (r @ u_b.conj().T).reshape(c * c, c, c)
-    return (u_a.conj() @ r).reshape(c * c, c * c)
+    real = not (np.iscomplexobj(u_a) or np.iscomplexobj(u_b))
+
+    def rows(x: np.ndarray, mid: np.ndarray) -> None:
+        # x = M x in place, through mid
+        if real:
+            x, mid = x.view(np.float64), mid.view(np.float64)
+        np.matmul(u_a, x.reshape(c, -1), out=mid.reshape(c, -1))
+        np.matmul(u_b, mid.reshape(c, c, -1), out=x.reshape(c, c, -1))
+
+    rows(rho, spare)
+    np.conj(rho.T, out=spare)
+    rows(spare, rho)
+    return spare
 
 
-def _check_step(space: FockSpace, dt: float) -> None:
+def _check_step(
+    space: FockSpace, dt: float, channels, layout: ModeLayout = ModeLayout(1, 1)
+) -> None:
     if space.modes != 2:
         raise ValueError("channel averaging needs the two-mode space")
+    one_mode = all(
+        ch.vec.shape == (2,) and (ch.feed_vec is None or ch.feed_vec.shape == (2,))
+        for ch in channels
+    )
+    if layout != ModeLayout(1, 1) or not one_mode:
+        raise ValueError("the dense Kraus step supports one mode per side")
     _check_dt(dt)
 
 
 def _channel_factors(one: FockSpace, channel: Rank1Channel, dt: float):
     """A channel's one-mode eigenbases ``(A, B)`` and record-averaged multiplier.
 
-    The multiplier is on the ``(a, b, a', b')`` view of the state in the
-    joint eigenbasis, flattened to ``(c^2, c^2)``.  With ``x``, ``y`` the
-    measured and fed eigenvalue differences, the exponent of
-    :func:`kraus_average_step` is ``p + (z + q) y``, ``p`` and ``z`` on the
-    measured mode and ``q`` on the fed one: a sum, a product and a sum
-    before one ``c^4`` exponential.
+    The multiplier ``W = exp(R) e^{i Phi}`` of :func:`kraus_average_step` is
+    returned as three factors on the ``(a, b, a', b')`` view of the state in
+    the joint eigenbasis, each shaped to broadcast over the axes it does not
+    depend on.  With ``m``, ``f`` the measured and fed eigenvalues of a row,
+    ``m'``, ``f'`` those of a column and ``phi = kappa (m - m') + lam (f -
+    f')``, ``R = -dt (gamma (m - m')^2 / 2 + phi^2 / (8 gamma))`` and
+    ``Phi = -dt (m + m') phi / 2``.  The first factor,
+    ``exp(-dt phi^2 / (8 gamma))``, is real: the one ``c^4`` exponential,
+    at most 1, so it cannot overflow.  The other two are over three axes:
+    ``exp(-dt (m - m') (gamma (m - m') + i kappa (m + m')) / 2) P(m, f)
+    P(m', f)`` and ``P(m, f')^* P(m', f')^*``, with the unit phases
+    ``P(m, f) = exp(-i dt lam m f / 2)``, so each entry is a product of
+    factors of modulus at most 1.
     """
     c = one.cutoff
     m_vals, m_basis = _quadrature_eigenbasis(one, channel.vec)
@@ -746,19 +789,30 @@ def _channel_factors(one: FockSpace, channel: Rank1Channel, dt: float):
     measured, fed = (0, 1) if channel.side == "A" else (1, 0)
     bases = (m_basis, f_basis) if measured == 0 else (f_basis, m_basis)
 
-    def on_mode(pairs: np.ndarray, mode: int) -> np.ndarray:
-        # a (c, c) array over one mode's level pairs on its axes of (a, b, a', b')
-        return pairs.reshape((c, 1, c, 1) if mode == 0 else (1, c, 1, c))
+    def on(pairs: np.ndarray, row: int, col: int) -> np.ndarray:
+        # a (c, c) array over two axes of (a, b, a', b'), its first on `row`
+        if row > col:
+            pairs, row, col = pairs.T, col, row
+        shape = [1, 1, 1, 1]
+        shape[row] = shape[col] = c
+        return pairs.reshape(shape)
 
-    x, y = (v[:, None] - v[None, :] for v in (m_vals, f_vals))
-    mean = 0.5 * (m_vals[:, None] + m_vals[None, :])
     gamma, kappa, lam = channel.gamma, channel.kappa, channel.lam
-    p = -dt * ((0.5 * gamma + kappa**2 / (8.0 * gamma)) * x + 1j * kappa * mean) * x
-    z = -dt * kappa * lam / (4.0 * gamma) * x - 1j * dt * lam * mean
-    q = -dt * lam**2 / (8.0 * gamma) * y
-    exponent = (on_mode(z, measured) + on_mode(q, fed)) * on_mode(y, fed)
-    exponent += on_mode(p, measured)
-    return bases, np.exp(exponent, out=exponent).reshape(c * c, c * c)
+    scale = math.sqrt(dt / (8.0 * gamma))
+    delta, total = np.subtract.outer(m_vals, m_vals), np.add.outer(m_vals, m_vals)
+    spread = scale * lam * np.subtract.outer(f_vals, f_vals)
+    real = np.add(
+        on(scale * kappa * delta, measured, measured + 2), on(spread, fed, fed + 2)
+    )
+    np.square(real, out=real)
+    np.negative(real, out=real)
+    np.exp(real, out=real)
+    measured_pair = np.exp(-0.5 * dt * delta * (gamma * delta + 1j * kappa * total))
+    phase = np.exp(-0.5j * dt * lam * np.multiply.outer(m_vals, f_vals))
+    rows = on(measured_pair, measured, measured + 2) * on(phase, measured, fed)
+    rows *= on(phase, measured + 2, fed)
+    cols = on(phase.conj(), measured, fed + 2) * on(phase.conj(), measured + 2, fed + 2)
+    return bases, (real, rows, cols)
 
 
 def _channel_chain(space: FockSpace, rho: np.ndarray, channels, dt: float, u_a, u_b):
@@ -767,23 +821,32 @@ def _channel_chain(space: FockSpace, rho: np.ndarray, channels, dt: float, u_a, 
     The state is carried in its current one-mode bases ``C``: the change
     into the next channel's eigenbasis ``E`` is one conjugation by
     ``E^dagger C``, and the last, by ``u C``, lands in the Fock basis, so
-    :func:`_conjugate` runs ``len(channels) + 1`` times.  The result is
-    hermitized, and renormalized if there are channels, once.
+    :func:`_conjugate` runs ``len(channels) + 1`` times, on float pairs
+    where both of its factors are real.  Each multiplier's factors are
+    applied to the state in place.  The state and one spare buffer are
+    allocated once and swapped by every basis change; after the last, the
+    spare takes the state's adjoint and then the result, hermitized and, if
+    there are channels, renormalized in place.
     """
     c = space.cutoff
-    current = (np.eye(c, dtype=complex),) * 2
-    out = rho
+    out = np.array(rho, dtype=complex, order="C")  # a copy: the input is kept
+    spare = np.empty_like(out)
+    current = (np.eye(c),) * 2
     for channel in channels:
-        bases, multiplier = _channel_factors(_shared_space(c, 1), channel, dt)
-        out = _conjugate(out, *(e.conj().T @ u for e, u in zip(bases, current)))
-        out *= multiplier
+        bases, factors = _channel_factors(_shared_space(c, 1), channel, dt)
+        change = (e.conj().T @ u for e, u in zip(bases, current))
+        out, spare = _conjugate(out, *change, spare), out
+        view = out.reshape(c, c, c, c)
+        for factor in factors:
+            view *= factor
         current = bases
-    out = _conjugate(out, u_a @ current[0], u_b @ current[1])
-    out = 0.5 * (out + out.conj().T)
-    if not channels:
-        return out, 0.0
-    trace = float(np.real(np.trace(out)))
-    return out / trace, abs(trace - 1.0)
+    out, spare = _conjugate(out, u_a @ current[0], u_b @ current[1], spare), out
+    # the trace of the Hermitian part is the real part of the trace
+    trace = float(np.real(np.trace(out))) if channels else 1.0
+    np.conj(out.T, out=spare)
+    spare += out
+    spare *= 0.5 / trace
+    return spare, abs(trace - 1.0)
 
 
 def kraus_average_step(
@@ -798,13 +861,16 @@ def kraus_average_step(
     integral ``int e^{-y^2} e^{-iky} dy / sqrt(pi) = e^{-k^2/4}``,
     ``k = sqrt(dt / (2 gamma)) phi``, gives ``W`` in closed form:
     ``exp(-gamma dt Delta(measured)^2 / 2 - dt phi^2 / (8 gamma)
-    - i dt mean(measured) phi)``.  Its diagonal is exactly 1, so the trace
-    drifts by roundoff only; that is renormalized away and reported.
+    - i dt mean(measured) phi)``.  Its diagonal is 1: there its exponent is
+    zero, and the factors of :func:`_channel_factors` multiply to 1 up to
+    roundoff (unit phases times their conjugates), so the trace drifts by
+    roundoff only; that is renormalized away and reported.  The channel
+    must act on one mode per side.
 
     Returns the new state together with its trace defect.
     """
-    _check_step(space, dt)
-    eye = np.eye(space.cutoff, dtype=complex)
+    _check_step(space, dt, (channel,))
+    eye = np.eye(space.cutoff)
     return _channel_chain(space, rho, (channel,), dt, eye, eye)
 
 
@@ -814,20 +880,23 @@ def protocol_kraus_step(
     """One discrete protocol step on the dense state: channels, then unitary.
 
     The local Hamiltonian does not couple the sides, so its unitary is
-    ``U_A (x) U_B`` from two one-mode exponentials, applied with the channels
-    as one chain of fused basis changes (:func:`_channel_chain`).
+    ``U_A (x) U_B``, each ``exp(-i dt H)`` from the eigendecomposition of a
+    one-mode Hamiltonian ``H``, applied with the channels as one chain of
+    fused basis changes (:func:`_channel_chain`).  The protocol must have
+    one mode per side.
 
     Returns the new state together with its trace defect.
     """
-    _check_step(space, dt)
+    _check_step(space, dt, protocol.channels, protocol.layout)
     quadratic = _shared_space(space.cutoff, 1)._quadratic
     h = protocol.local_hamiltonian
-    d = protocol.layout.dim_a
-    u_a, u_b = (
-        expm(-1j * dt * quadratic.matrix(local).toarray())
-        for local in quadratic.combine([0.5 * h[:d, :d], 0.5 * h[d:, d:]])
-    )
-    return _channel_chain(space, rho, protocol.channels, dt, u_a, u_b)
+    unitaries = []
+    for local in quadratic.combine([0.5 * h[:2, :2], 0.5 * h[2:, 2:]]):
+        dense = np.zeros((space.cutoff, space.cutoff), dtype=complex)
+        dense[quadratic.rows, quadratic.cols] = local
+        energies, vecs = np.linalg.eigh(dense)
+        unitaries.append((vecs * np.exp(-1j * dt * energies)) @ vecs.conj().T)
+    return _channel_chain(space, rho, protocol.channels, dt, *unitaries)
 
 
 def log_negativity_dense(space: FockSpace, rho: np.ndarray) -> float:

@@ -211,6 +211,22 @@ def test_factored_kraus_average_matches_the_elementwise_multiplier(side, feed, v
         assert np.abs(out - expected).max() < 1e-13
 
 
+@pytest.mark.parametrize("side", ["A", "B"])
+@pytest.mark.parametrize("vacuum", [True, False])
+def test_position_kraus_average_matches_the_elementwise_multiplier(side, vacuum):
+    """Position directions have real eigenbases: the basis changes run on float pairs."""
+    space = FockSpace(7, modes=2)
+    rho = space.vacuum() if vacuum else random_state(space.dim, 3)
+    ch = Rank1Channel(
+        side=side, gamma=1.3, vec=np.array([1.0, 0.0]), lam=0.7,
+        feed_vec=np.array([-1.0, 0.0]), kappa=0.4,
+    )
+    for dt in (1e-3, 0.2):
+        out, _ = kraus_average_step(space, rho, ch, dt)
+        expected, _ = elementwise_kraus_average(space, rho, ch, dt)
+        assert np.abs(out - expected).max() < 1e-13
+
+
 def test_protocol_unitary_matches_the_dense_exponential():
     """U_A (x) U_B from one-mode exponentials equals expm of the two-mode Hamiltonian."""
     h_a = np.array([[1.0, 0.3], [0.3, 0.5]])
@@ -291,6 +307,107 @@ def test_protocol_step_changes_basis_once_per_channel_plus_once(monkeypatch):
     unitary_only = LoccProtocol(protocol.layout, (), protocol.local_hamiltonian)
     protocol_kraus_step(space, space.vacuum(), unitary_only, 1e-3)
     assert len(calls) == 1
+
+
+def direct_multiplier(channel, cutoff, dt):
+    """The multiplier from its complex exponent, entry by entry on ``(a, b, a', b')``."""
+    one = FockSpace(cutoff, modes=1)
+    m_vals, _ = fock._quadrature_eigenbasis(one, channel.vec)
+    f_vals, _ = fock._quadrature_eigenbasis(one, channel.feed_vec)
+    measured, fed = (0, 1) if channel.side == "A" else (1, 0)
+    idx = np.indices((cutoff,) * 4)
+    m, m2 = m_vals[idx[measured]], m_vals[idx[measured + 2]]
+    f, f2 = f_vals[idx[fed]], f_vals[idx[fed + 2]]
+    phi = channel.kappa * (m - m2) + channel.lam * (f - f2)
+    real = -dt * (0.5 * channel.gamma * (m - m2) ** 2 + phi**2 / (8.0 * channel.gamma))
+    phase = -0.5 * dt * (m + m2) * phi
+    # the largest angle of any one factor the step multiplies
+    pieces = 0.5 * dt * (
+        abs(channel.kappa * (m - m2) * (m + m2))
+        + abs(channel.lam) * (abs(m) + abs(m2)) * (abs(f) + abs(f2))
+    )
+    return np.exp(real + 1j * phase), real, pieces
+
+
+@pytest.mark.parametrize("side", ["A", "B"])
+def test_multiplier_factors_match_the_complex_exponent_at_a_long_step(side):
+    """At cutoff 20 and dt = 10 the exponent reaches thousands; the factors stay bounded.
+
+    Each factor carries a relative error of a few eps per unit of its
+    exponent, so an entry ``W = e^R e^{i Phi}`` may differ from the direct
+    formula by ``16 eps e^R (1 + |R| + angles)``, ``angles`` the magnitudes
+    of the phases multiplied, plus the spacing of the subnormals where
+    ``e^R`` underflows.
+    """
+    c, dt = 20, 10.0
+    ch = Rank1Channel(
+        side=side, gamma=0.5, vec=np.array([1.0, 0.0]), lam=2.5,
+        feed_vec=np.array([0.6, 0.8]), kappa=2.0,
+    )
+    assert ch.kappa * ch.lam / ch.gamma >= 10
+    _, factors = fock._channel_factors(FockSpace(c, modes=1), ch, dt)
+    w = np.ones((c,) * 4, dtype=complex)
+    for factor in factors:
+        w *= factor
+    expected, real, pieces = direct_multiplier(ch, c, dt)
+    eps = np.finfo(float).eps
+    assert np.isfinite(w).all()
+    assert np.abs(w).max() <= 1.0 + 4 * eps
+    bound = 16 * eps * np.exp(real) * (1 + abs(real) + pieces) + np.finfo(float).tiny
+    assert (np.abs(w - expected) <= bound).all()
+    diagonal = np.diagonal(w.reshape(c * c, c * c))
+    assert np.abs(diagonal - 1.0).max() <= 4 * eps
+    assert real.min() < -1e3 and pieces.max() > 1e2  # the long step is long
+
+
+def test_real_and_complex_basis_changes_agree():
+    """Real one-mode factors act on float pairs; the complex path gives the same."""
+    c = 7
+    rho = random_state(c * c, 11)
+    rng = np.random.default_rng(12)
+    u_a, u_b = (np.linalg.qr(rng.normal(size=(c, c)))[0] for _ in range(2))
+    real, complex_ = (
+        fock._conjugate(rho.copy(), a, b, np.empty_like(rho))
+        for a, b in ((u_a, u_b), (u_a.astype(complex), u_b.astype(complex)))
+    )
+    assert np.abs(real - complex_).max() <= 1e-14
+    m = np.kron(u_a, u_b)
+    assert np.abs(real - m @ rho @ m.T).max() <= 1e-14
+
+
+def test_position_eigenbases_are_real():
+    one = FockSpace(8, modes=1)
+    for vec in (np.array([1.0, 0.0]), np.array([-0.5, 0.0]), None):
+        assert not np.iscomplexobj(fock._quadrature_eigenbasis(one, vec)[1])
+    assert np.iscomplexobj(fock._quadrature_eigenbasis(one, np.array([0.6, 0.8]))[1])
+
+
+def wide_channel(part):
+    """A channel with a 4-component measured (``vec``) or fed (``feed_vec``) direction."""
+    wide, narrow = np.array([1.0, 0.0, 0.0, 0.0]), np.array([1.0, 0.0])
+    return Rank1Channel(
+        side="A", gamma=1.0, lam=0.5, kappa=0.2,
+        vec=wide if part == "vec" else narrow,
+        feed_vec=wide if part == "feed_vec" else narrow,
+    )
+
+
+@pytest.mark.parametrize("part", ["vec", "feed_vec"])
+def test_channel_step_refuses_more_than_one_mode_per_side(part):
+    space = FockSpace(6, modes=2)
+    with pytest.raises(ValueError, match="one mode per side"):
+        kraus_average_step(space, space.vacuum(), wide_channel(part), 1e-3)
+
+
+def test_protocol_step_refuses_more_than_one_mode_per_side():
+    wide = np.array([1.0, 0.0, 0.0, 0.0])
+    channel = Rank1Channel(
+        side="A", gamma=1.0, vec=wide, lam=0.5, feed_vec=wide, kappa=0.2
+    )
+    protocol = LoccProtocol(ModeLayout(2, 2), (channel,), np.eye(8))
+    space = FockSpace(6, modes=2)
+    with pytest.raises(ValueError, match="one mode per side"):
+        protocol_kraus_step(space, space.vacuum(), protocol, 1e-3)
 
 
 def test_generic_direction_keeps_one_lindblad_per_noise_direction():
