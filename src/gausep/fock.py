@@ -31,13 +31,15 @@ path with the Gaussian one.
   fed quadratures where every Kraus factor is diagonal, so the average is an
   elementwise multiplier on the density matrix, exact in closed form (each
   entry of the record integral is a Gaussian integral of a phase): one real
-  exponential, at most 1, times unit phases over three of the four mode
-  indices of an entry, applied to the state in place.  Basis changes act
-  mode by mode, on the complex entries as float pairs where both one-mode
-  factors are real (a position quadrature's eigenbasis is), and
-  :func:`protocol_kraus_step` fuses each with the next: one per channel
-  plus one for the local unitary, whose one-mode factors come from the
-  eigendecompositions of the one-mode Hamiltonians;
+  exponential, at most 1, times unit phases, applied to the state in place.
+  Basis changes act mode by mode, on the complex entries as float pairs
+  where both one-mode factors are real (a position quadrature's eigenbasis
+  is).  :func:`protocol_kraus_step` fuses each with the next, one per
+  distinct pair of bases plus one for the local unitary (from the
+  eigendecompositions of the one-mode Hamiltonians); channels in equal
+  bases share one multiplier, so a rank-1 step is a real basis change, one
+  real exponential, the feedback phase on rows and columns and a complex
+  basis change;
 * :func:`log_negativity_dense` evaluates entanglement from the partial
   transpose of the dense state, which keeps the grade of every entry, so
   for a grade-0 state it diagonalizes the even and odd blocks apart; a
@@ -712,13 +714,30 @@ def _quadrature_eigenbasis(space_1: FockSpace, vec: np.ndarray | None):
 
     A position direction (``vec[1] == 0``) is a real operator, and its
     eigenbasis is taken real, so the basis changes into it can be real.
+    Cached per cutoff and direction, read-only: one ``eigh`` per direction.
     """
+    return _eigenbasis(space_1.cutoff, None if vec is None else tuple(vec.tolist()))
+
+
+@functools.lru_cache(maxsize=32)
+def _eigenbasis(cutoff: int, vec: tuple[float, ...] | None):
+    one = _shared_space(cutoff, 1)
     if vec is None:
-        return np.zeros(space_1.cutoff), np.eye(space_1.cutoff)
-    op = vec[0] * space_1.position()
-    if vec[1] != 0:
-        op = op + vec[1] * space_1.momentum()
-    return np.linalg.eigh(op)
+        pair = np.zeros(cutoff), np.eye(cutoff)
+    else:
+        op = vec[0] * one.position()
+        if vec[1] != 0:
+            op = op + vec[1] * one.momentum()
+        pair = np.linalg.eigh(op)
+    for array in pair:
+        array.flags.writeable = False
+    return pair
+
+
+def _mode_eigenbases(one: FockSpace, channel: Rank1Channel):
+    """A channel's eigen-decompositions ``(values, basis)`` on mode A and mode B."""
+    pair = tuple(_quadrature_eigenbasis(one, v) for v in (channel.vec, channel.feed_vec))
+    return pair if channel.side == "A" else pair[::-1]
 
 
 def _conjugate(
@@ -766,78 +785,126 @@ def _check_step(
     _check_dt(dt)
 
 
-def _channel_factors(one: FockSpace, channel: Rank1Channel, dt: float):
-    """A channel's one-mode eigenbases ``(A, B)`` and record-averaged multiplier.
+def _on_axes(pairs: np.ndarray, row: int, col: int) -> np.ndarray:
+    """A ``(c, c)`` array over two axes of ``(a, b, a', b')``, its first on ``row``."""
+    if row > col:
+        pairs, row, col = pairs.T, col, row
+    shape = [1, 1, 1, 1]
+    shape[row] = shape[col] = len(pairs)
+    return pairs.reshape(shape)
 
-    The multiplier ``W = exp(R) e^{i Phi}`` of :func:`kraus_average_step` is
-    returned as three factors on the ``(a, b, a', b')`` view of the state in
-    the joint eigenbasis, each shaped to broadcast over the axes it does not
-    depend on.  With ``m``, ``f`` the measured and fed eigenvalues of a row,
-    ``m'``, ``f'`` those of a column and ``phi = kappa (m - m') + lam (f -
-    f')``, ``R = -dt (gamma (m - m')^2 / 2 + phi^2 / (8 gamma))`` and
-    ``Phi = -dt (m + m') phi / 2``.  The first factor,
-    ``exp(-dt phi^2 / (8 gamma))``, is real: the one ``c^4`` exponential,
-    at most 1, so it cannot overflow.  The other two are over three axes:
-    ``exp(-dt (m - m') (gamma (m - m') + i kappa (m + m')) / 2) P(m, f)
-    P(m', f)`` and ``P(m, f')^* P(m', f')^*``, with the unit phases
-    ``P(m, f) = exp(-i dt lam m f / 2)``, so each entry is a product of
-    factors of modulus at most 1.
+
+def _channel_phases(channel: Rank1Channel, m: np.ndarray, f: np.ndarray, dt: float):
+    """One channel's unit phase factors over three axes of ``(a, b, a', b')``:
+    ``exp(-i dt kappa (m - m') (m + m') / 2) P(m, f) P(m', f)`` and
+    ``P(m, f')^* P(m', f')^*``, ``P(m, f) = exp(-i dt lam m f / 2)``."""
+    measured, fed = (0, 1) if channel.side == "A" else (1, 0)
+    own = np.subtract.outer(m, m) * np.add.outer(m, m)
+    own = np.exp(-0.5j * dt * channel.kappa * own)
+    phase = np.exp(-0.5j * dt * channel.lam * np.multiply.outer(m, f))
+    rows = _on_axes(own, measured, measured + 2) * _on_axes(phase, measured, fed)
+    rows *= _on_axes(phase, measured + 2, fed)
+    cols = _on_axes(phase.conj(), measured, fed + 2)
+    cols = cols * _on_axes(phase.conj(), measured + 2, fed + 2)
+    return rows, cols
+
+
+def _group_factors(one: FockSpace, channels, dt: float, scratch: np.ndarray):
+    """Record-averaged multiplier of channels sharing their one-mode eigenbases.
+
+    Each channel's multiplier (:func:`kraus_average_step`) is diagonal in
+    the shared joint eigenbasis, so the group's is their product
+    ``W = exp(R) e^{i Phi}``, returned as factors on the ``(a, b, a', b')``
+    view of the state in that basis, each shaped to broadcast over the axes
+    it does not depend on.  With ``m``, ``f`` a channel's measured and fed
+    eigenvalues of a row, ``m'``, ``f'`` those of a column and ``phi = kappa
+    (m - m') + lam (f - f')``, ``R`` sums ``-dt (gamma (m - m')^2 / 2 +
+    phi^2 / (8 gamma))`` over the channels.  That is minus a sum of squares,
+    so the one ``c^4`` exponential is real and at most 1 and cannot
+    overflow; it is the first factor, written to ``scratch[0]``, and
+    ``scratch[1]`` is work space (two real ``c^4`` arrays).
+
+    ``Phi`` sums ``-dt (m + m') phi / 2 = theta(a, b) - theta(a', b') +
+    chi``, with ``theta = -dt (kappa m^2 + lam m f) / 2`` and the cross term
+    ``chi = -dt lam (m' f - m f') / 2``.  Where the cross terms cancel
+    exactly, as for the mirrored pair of ``build_rank1_protocol`` (equal
+    ``lam``), ``e^{i Phi} = u(a, b) u(a', b')^*`` with ``u = exp(i sum
+    theta)``, a ``c^2`` phase on the rows and its conjugate on the columns;
+    otherwise each channel keeps its own (:func:`_channel_phases`).
     """
     c = one.cutoff
-    m_vals, m_basis = _quadrature_eigenbasis(one, channel.vec)
-    f_vals, f_basis = _quadrature_eigenbasis(one, channel.feed_vec)
-    measured, fed = (0, 1) if channel.side == "A" else (1, 0)
-    bases = (m_basis, f_basis) if measured == 0 else (f_basis, m_basis)
-
-    def on(pairs: np.ndarray, row: int, col: int) -> np.ndarray:
-        # a (c, c) array over two axes of (a, b, a', b'), its first on `row`
-        if row > col:
-            pairs, row, col = pairs.T, col, row
-        shape = [1, 1, 1, 1]
-        shape[row] = shape[col] = c
-        return pairs.reshape(shape)
-
-    gamma, kappa, lam = channel.gamma, channel.kappa, channel.lam
-    scale = math.sqrt(dt / (8.0 * gamma))
-    delta, total = np.subtract.outer(m_vals, m_vals), np.add.outer(m_vals, m_vals)
-    spread = scale * lam * np.subtract.outer(f_vals, f_vals)
-    real = np.add(
-        on(scale * kappa * delta, measured, measured + 2), on(spread, fed, fed + 2)
-    )
-    np.square(real, out=real)
-    np.negative(real, out=real)
+    real, work = scratch
+    decay = np.zeros((2, c, c))  # dt gamma (m - m')^2 / 2 over (a, a') and (b, b')
+    angle = np.zeros((c, c))  # sum theta over (a, b)
+    # sum of +-lam x (x) y, + for side A: chi = -dt (cross(a', b) - cross(a, b')) / 2
+    cross = np.zeros((c, c))
+    values = []
+    for i, channel in enumerate(channels):
+        (x, _), (y, _) = _mode_eigenbases(one, channel)
+        measured, fed = (0, 1) if channel.side == "A" else (1, 0)
+        m, f = (x, y) if measured == 0 else (y, x)
+        values.append((channel, m, f))
+        delta = np.subtract.outer(m, m)
+        scale = math.sqrt(dt / (8.0 * channel.gamma))
+        spread = scale * channel.lam * np.subtract.outer(f, f)
+        square = real if i == 0 else work  # phi^2 dt / (8 gamma)
+        np.add(
+            _on_axes(scale * channel.kappa * delta, measured, measured + 2),
+            _on_axes(spread, fed, fed + 2),
+            out=square,
+        )
+        np.square(square, out=square)
+        if i:
+            real += work
+        decay[measured] += 0.5 * dt * channel.gamma * np.square(delta)
+        # the same x (x) y on both sides, so a mirrored pair cancels exactly
+        product = channel.lam * np.multiply.outer(x, y)
+        angle -= 0.5 * dt * product
+        angle -= 0.5 * dt * channel.kappa * np.expand_dims(np.square(m), 1 - measured)
+        cross += product if measured == 0 else -product
+    np.add(_on_axes(-decay[0], 0, 2), _on_axes(-decay[1], 1, 3), out=work)
+    np.subtract(work, real, out=real)
     np.exp(real, out=real)
-    measured_pair = np.exp(-0.5 * dt * delta * (gamma * delta + 1j * kappa * total))
-    phase = np.exp(-0.5j * dt * lam * np.multiply.outer(m_vals, f_vals))
-    rows = on(measured_pair, measured, measured + 2) * on(phase, measured, fed)
-    rows *= on(phase, measured + 2, fed)
-    cols = on(phase.conj(), measured, fed + 2) * on(phase.conj(), measured + 2, fed + 2)
-    return bases, (real, rows, cols)
+    if not cross.any():
+        u = np.exp(1j * angle)
+        return real, u.reshape(c, c, 1, 1), u.conj().reshape(1, 1, c, c)
+    return (real, *(p for value in values for p in _channel_phases(*value, dt)))
 
 
 def _channel_chain(space: FockSpace, rho: np.ndarray, channels, dt: float, u_a, u_b):
     """The channels in turn, then ``u_a (x) u_b``: ``(state, trace_defect)``.
 
-    The state is carried in its current one-mode bases ``C``: the change
-    into the next channel's eigenbasis ``E`` is one conjugation by
-    ``E^dagger C``, and the last, by ``u C``, lands in the Fock basis, so
-    :func:`_conjugate` runs ``len(channels) + 1`` times, on float pairs
-    where both of its factors are real.  Each multiplier's factors are
-    applied to the state in place.  The state and one spare buffer are
-    allocated once and swapped by every basis change; after the last, the
-    spare takes the state's adjoint and then the result, hermitized and, if
-    there are channels, renormalized in place.
+    Consecutive channels whose one-mode eigenbases are exactly equal form a
+    group: their multipliers are diagonal in one joint basis, so they
+    commute and make one multiplier (:func:`_group_factors`).  The state is
+    carried in its current one-mode bases ``C``: the change into the next
+    group's eigenbasis ``E`` is one conjugation by ``E^dagger C``, and the
+    last, by ``u C``, lands in the Fock basis, so :func:`_conjugate` runs
+    once per group plus once, on float pairs where both of its factors are
+    real.  Each multiplier's factors are applied to the state in place.
+    The state and one spare buffer are allocated once and swapped by every
+    basis change; in between, the spare holds the multiplier's real factor.
+    After the last, the spare takes the state's adjoint and then the result,
+    hermitized and, if there are channels, renormalized in place.
     """
     c = space.cutoff
+    one = _shared_space(c, 1)
+    groups = []  # (bases on modes A and B, channels)
+    for channel in channels:
+        bases = tuple(basis for _, basis in _mode_eigenbases(one, channel))
+        if groups and all(map(np.array_equal, groups[-1][0], bases)):
+            groups[-1][1].append(channel)
+        else:
+            groups.append((bases, [channel]))
     out = np.array(rho, dtype=complex, order="C")  # a copy: the input is kept
     spare = np.empty_like(out)
     current = (np.eye(c),) * 2
-    for channel in channels:
-        bases, factors = _channel_factors(_shared_space(c, 1), channel, dt)
+    for bases, members in groups:
         change = (e.conj().T @ u for e, u in zip(bases, current))
         out, spare = _conjugate(out, *change, spare), out
         view = out.reshape(c, c, c, c)
-        for factor in factors:
+        scratch = spare.view(np.float64).reshape(2, c, c, c, c)
+        for factor in _group_factors(one, members, dt, scratch):
             view *= factor
         current = bases
     out, spare = _conjugate(out, u_a @ current[0], u_b @ current[1], spare), out
@@ -862,7 +929,7 @@ def kraus_average_step(
     ``k = sqrt(dt / (2 gamma)) phi``, gives ``W`` in closed form:
     ``exp(-gamma dt Delta(measured)^2 / 2 - dt phi^2 / (8 gamma)
     - i dt mean(measured) phi)``.  Its diagonal is 1: there its exponent is
-    zero, and the factors of :func:`_channel_factors` multiply to 1 up to
+    zero, and the factors of :func:`_group_factors` multiply to 1 up to
     roundoff (unit phases times their conjugates), so the trace drifts by
     roundoff only; that is renormalized away and reported.  The channel
     must act on one mode per side.
@@ -882,8 +949,12 @@ def protocol_kraus_step(
     The local Hamiltonian does not couple the sides, so its unitary is
     ``U_A (x) U_B``, each ``exp(-i dt H)`` from the eigendecomposition of a
     one-mode Hamiltonian ``H``, applied with the channels as one chain of
-    fused basis changes (:func:`_channel_chain`).  The protocol must have
-    one mode per side.
+    fused basis changes (:func:`_channel_chain`).  A rank-1 protocol's two
+    channels share their eigenbases ``E``, so its step is two: into ``E``,
+    where both make one multiplier, ``exp(R_A + R_B) u(a, b) u(a', b')^*``
+    with the feedback phase ``u = exp(-i dt (kappa_A alpha^2 / 2 + kappa_B
+    beta^2 / 2 + lam alpha beta))``, and out by ``(U_A (x) U_B) E``.  The
+    protocol must have one mode per side.
 
     Returns the new state together with its trace defect.
     """

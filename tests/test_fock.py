@@ -227,27 +227,44 @@ def test_position_kraus_average_matches_the_elementwise_multiplier(side, vacuum)
         assert np.abs(out - expected).max() < 1e-13
 
 
-def test_protocol_unitary_matches_the_dense_exponential():
-    """U_A (x) U_B from one-mode exponentials equals expm of the two-mode Hamiltonian."""
+def mirrored_pair(lam_b):
+    """The two channels of a rank-1 protocol, channel B's gain set to ``lam_b``."""
+    ch_a = Rank1Channel(
+        side="A", gamma=1.3, vec=np.array([1.0, 0.0]), lam=0.7,
+        feed_vec=np.array([1.0, 0.0]), kappa=0.4,
+    )
+    return ch_a, dataclasses.replace(ch_a, side="B", gamma=0.9, lam=lam_b, kappa=-0.3)
+
+
+@pytest.mark.parametrize("cutoff", [8, 12, 16])
+def test_protocol_unitary_matches_the_dense_exponential(cutoff):
+    """The grouped step equals the channels one by one, then the dense exponential.
+
+    U_A (x) U_B comes from one-mode exponentials; the reference is expm of
+    the two-mode Hamiltonian.  The mirrored pair of a rank-1 protocol takes
+    one multiplier with a rank-one phase, and a pair in the same bases
+    whose cross terms do not cancel (unequal gains) its channels' own phases.
+    """
     h_a = np.array([[1.0, 0.3], [0.3, 0.5]])
     h_b = np.array([[0.7, -0.2], [-0.2, 1.1]])
     model = rank1_model(1.0, 2.0, 2.0, h_a=h_a, h_b=h_b)
-    space = FockSpace(8, modes=2)
-    rho = random_state(space.dim, 5)
+    space = FockSpace(cutoff, modes=2)
     dt = 0.05
+    h_loc = build_rank1_protocol(model).local_hamiltonian
+    gen = build_fock_generator(space, h_loc, np.zeros_like(h_loc))
+    u = expm(-1j * gen.hamiltonian.toarray() * dt)
     for protocol in (
         build_rank1_protocol(model),
-        LoccProtocol(model.layout, (), build_rank1_protocol(model).local_hamiltonian),
+        LoccProtocol(model.layout, (), h_loc),
+        LoccProtocol(model.layout, mirrored_pair(lam_b=0.5), h_loc),
     ):
-        expected = rho
-        for ch in protocol.channels:
-            expected, _ = kraus_average_step(space, expected, ch, dt)
-        h = protocol.local_hamiltonian
-        gen = build_fock_generator(space, h, np.zeros_like(h))
-        u = expm(-1j * gen.hamiltonian.toarray() * dt)
-        expected = u @ expected @ u.conj().T
-        stepped, _ = protocol_kraus_step(space, rho, protocol, dt)
-        assert np.abs(stepped - expected).max() < 1e-13
+        for rho in (space.vacuum(), random_state(space.dim, 5)):
+            expected = rho
+            for ch in protocol.channels:
+                expected, _ = kraus_average_step(space, expected, ch, dt)
+            expected = u @ expected @ u.conj().T
+            stepped, _ = protocol_kraus_step(space, rho, protocol, dt)
+            assert np.abs(stepped - expected).max() < 1e-14
 
 
 def test_kraus_average_is_the_exact_record_integral():
@@ -288,7 +305,7 @@ def test_kraus_average_is_the_exact_record_integral():
         assert abs(entry - 0.25 * record_integral(u, v)) < 1e-13
 
 
-def test_protocol_step_changes_basis_once_per_channel_plus_once(monkeypatch):
+def test_protocol_step_changes_basis_once_per_distinct_basis_plus_once(monkeypatch):
     calls = []
     conjugate = fock._conjugate
 
@@ -299,18 +316,22 @@ def test_protocol_step_changes_basis_once_per_channel_plus_once(monkeypatch):
     monkeypatch.setattr(fock, "_conjugate", counted)
     harmonic = rank1_model(1.0, 2.0, 2.0, h_a=np.eye(2), h_b=np.eye(2))  # locc_harmonic
     protocol = build_rank1_protocol(harmonic)
-    assert len(protocol.channels) == 2
+    ch_a, ch_b = protocol.channels
+    momentum_feed = dataclasses.replace(ch_a, feed_vec=np.array([0.0, 1.0]))
     space = FockSpace(6, modes=2)
-    protocol_kraus_step(space, space.vacuum(), protocol, 1e-3)
-    assert len(calls) == 3
-    calls.clear()
-    unitary_only = LoccProtocol(protocol.layout, (), protocol.local_hamiltonian)
-    protocol_kraus_step(space, space.vacuum(), unitary_only, 1e-3)
-    assert len(calls) == 1
+    for stepped, count in (
+        (protocol, 2),  # both channels in the bases (x_A, x_B): one group
+        (LoccProtocol(protocol.layout, (), protocol.local_hamiltonian), 1),
+        # (x_A, p_B), then (x_A, x_B)
+        (LoccProtocol(protocol.layout, (momentum_feed, ch_b), protocol.local_hamiltonian), 3),
+    ):
+        calls.clear()
+        protocol_kraus_step(space, space.vacuum(), stepped, 1e-3)
+        assert len(calls) == count
 
 
-def direct_multiplier(channel, cutoff, dt):
-    """The multiplier from its complex exponent, entry by entry on ``(a, b, a', b')``."""
+def direct_exponent(channel, cutoff, dt):
+    """A multiplier's complex exponent, entry by entry on ``(a, b, a', b')``."""
     one = FockSpace(cutoff, modes=1)
     m_vals, _ = fock._quadrature_eigenbasis(one, channel.vec)
     f_vals, _ = fock._quadrature_eigenbasis(one, channel.feed_vec)
@@ -321,35 +342,51 @@ def direct_multiplier(channel, cutoff, dt):
     phi = channel.kappa * (m - m2) + channel.lam * (f - f2)
     real = -dt * (0.5 * channel.gamma * (m - m2) ** 2 + phi**2 / (8.0 * channel.gamma))
     phase = -0.5 * dt * (m + m2) * phi
-    # the largest angle of any one factor the step multiplies
+    # the largest angle of any one factor a channel's own phases multiply
     pieces = 0.5 * dt * (
         abs(channel.kappa * (m - m2) * (m + m2))
         + abs(channel.lam) * (abs(m) + abs(m2)) * (abs(f) + abs(f2))
     )
-    return np.exp(real + 1j * phase), real, pieces
+    return real, phase, pieces
 
 
-@pytest.mark.parametrize("side", ["A", "B"])
+@pytest.mark.parametrize("side", ["A", "B", "mirrored"])
 def test_multiplier_factors_match_the_complex_exponent_at_a_long_step(side):
     """At cutoff 20 and dt = 10 the exponent reaches thousands; the factors stay bounded.
 
     Each factor carries a relative error of a few eps per unit of its
     exponent, so an entry ``W = e^R e^{i Phi}`` may differ from the direct
     formula by ``16 eps e^R (1 + |R| + angles)``, ``angles`` the magnitudes
-    of the phases multiplied, plus the spacing of the subnormals where
-    ``e^R`` underflows.
+    of the phases multiplied (summed over the channels), plus the spacing of
+    the subnormals where ``e^R`` underflows.  A mirrored pair (equal
+    ``lam``) is one multiplier: the exponential of the summed ``R`` times
+    ``u(a, b) u(a', b')^*``, with ``u = exp(-i dt (kappa_A alpha^2 / 2 +
+    kappa_B beta^2 / 2 + lam alpha beta))`` over the eigenvalues ``alpha``
+    and ``beta`` of the two modes.
     """
     c, dt = 20, 10.0
+    measure, feed = np.array([1.0, 0.0]), np.array([0.6, 0.8])
     ch = Rank1Channel(
-        side=side, gamma=0.5, vec=np.array([1.0, 0.0]), lam=2.5,
-        feed_vec=np.array([0.6, 0.8]), kappa=2.0,
+        side=side[0] if side != "mirrored" else "A", gamma=0.5, vec=measure,
+        lam=2.5, feed_vec=feed, kappa=2.0,
     )
     assert ch.kappa * ch.lam / ch.gamma >= 10
-    _, factors = fock._channel_factors(FockSpace(c, modes=1), ch, dt)
+    channels = (ch,)
+    if side == "mirrored":
+        channels += (
+            Rank1Channel(side="B", gamma=0.8, vec=feed, lam=2.5, feed_vec=measure, kappa=-1.5),
+        )
+    scratch = np.empty((2,) + (c,) * 4)
+    factors = fock._group_factors(FockSpace(c, modes=1), channels, dt, scratch)
     w = np.ones((c,) * 4, dtype=complex)
     for factor in factors:
         w *= factor
-    expected, real, pieces = direct_multiplier(ch, c, dt)
+    exponents = [direct_exponent(channel, c, dt) for channel in channels]
+    real, phase, pieces = (sum(parts) for parts in zip(*exponents))
+    expected = np.exp(real + 1j * phase)
+    if side == "mirrored":
+        # the real exponential and one phase on the rows, its conjugate on the columns
+        assert [f.shape for f in factors[1:]] == [(c, c, 1, 1), (1, 1, c, c)]
     eps = np.finfo(float).eps
     assert np.isfinite(w).all()
     assert np.abs(w).max() <= 1.0 + 4 * eps
