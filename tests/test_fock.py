@@ -367,8 +367,8 @@ def test_multiplier_factors_match_the_complex_exponent_at_a_long_step(side):
     c, dt = 20, 10.0
     measure, feed = np.array([1.0, 0.0]), np.array([0.6, 0.8])
     ch = Rank1Channel(
-        side=side[0] if side != "mirrored" else "A", gamma=0.5, vec=measure,
-        lam=2.5, feed_vec=feed, kappa=2.0,
+        side="B" if side == "B" else "A", gamma=0.5, vec=measure, lam=2.5,
+        feed_vec=feed, kappa=2.0,
     )
     assert ch.kappa * ch.lam / ch.gamma >= 10
     channels = (ch,)
