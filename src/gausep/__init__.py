@@ -56,14 +56,6 @@ from .locc import (
     solve_symmetric,
     synthesize_general,
 )
-from .fock import (
-    FockSpace,
-    extract_covariance,
-    fock_generator_from_model,
-    kraus_average_step,
-    lindblad_integrate,
-    log_negativity_dense,
-)
 from .gravity import (
     MediatorScenario,
     SphereMediatorScenario,

@@ -18,19 +18,12 @@ import json
 import logging
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .dynamics import evolve, shape_functions, transition_blocks
-from .fock import (
-    _taylor_schedule,
-    fock_generator_from_model,
-    lindblad_integrate,
-    protocol_kraus_step,
-)
 from .generators import FieldError, Fields, build_generator, model_from_dict
 from .locc import (
     InfeasibleProtocolError,
@@ -282,6 +275,9 @@ def cmd_locc_verify(args) -> int:
     branch = config.choice("branch", ("plus", "minus"), "plus")
     fgen = None
     if args.oracle:
+        # the dense oracle, and scipy with it, loads only when asked for
+        from .fock import _taylor_schedule, fock_generator_from_model
+        from .fock import lindblad_integrate, protocol_kraus_step
         fgen = fock_generator_from_model(model, cutoff)
         _taylor_schedule(fgen, args.dt)
     target = build_generator(model)
@@ -506,6 +502,7 @@ def cmd_sweep(args) -> int:
         if not done:
             writer.writerow(header)
         if args.jobs > 1 and payloads:
+            from concurrent.futures import ProcessPoolExecutor
             pool = ProcessPoolExecutor(max_workers=args.jobs)
             chunk = max(1, len(payloads) // (args.jobs * 4))
             results = pool.map(_sweep_worker, payloads, chunksize=chunk)

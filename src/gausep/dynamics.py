@@ -9,8 +9,10 @@ Second moments of a quadratic master equation obey
 block matrix exponential (Van Loan, IEEE TAC 23, 395 (1978)), so ``evolve``
 has no step error.  The pair is a :class:`GaussianMap`, the one affine
 covariance map of the package: the exact flow, the LOCC protocol steps and
-their compositions and powers are all of this form.  Matrix exponentials use
-scaling-and-squaring with a degree-13 Pade approximant (``scipy.linalg.expm``).
+their compositions and powers are all of this form.  Matrix exponentials
+(:func:`_expm`) use scaling and squaring with a Pade approximant of degree 3,
+5, 7, 9 or 13 (Higham, SIAM J. Matrix Anal. Appl. 26, 1179 (2005)), in numpy
+alone, so the Gaussian layer never imports scipy.
 
 The module also provides the weak-coupling first-order picture used by the
 separability certificate: starting from a pure product state with per-side
@@ -27,12 +29,14 @@ of its ray over the whole horizon.
 
 from __future__ import annotations
 
+import bisect
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import expm
+from numpy.linalg import _umath_linalg
 
 from .generators import GkslGenerator, SystemModel, local_drift_blocks
 from .symplectic import (
@@ -97,6 +101,73 @@ class GaussianMap(NamedTuple):
             power = power.then(power)
 
 
+def _pade_rows(m: int) -> np.ndarray:
+    """Weights of the stacked powers ``(I, X^2, X^4, ...)`` in the degree-``m``
+    approximant's odd part ``U / X`` and even part ``V``; degree 13 stacks up
+    to ``X^6``, ``U = X (X^6 W1 + W2)`` and ``V = X^6 Z1 + Z2``."""
+    f = math.factorial
+    b = [f(2 * m - k) * f(m) / (f(2 * m) * f(k) * f(m - k)) for k in range(m + 1)]
+    if m < 13:
+        return np.array([b[1::2], b[::2]])
+    return np.array([[0.0, b[9], b[11], b[13]], [b[1], b[3], b[5], b[7]],
+                     [0.0, b[8], b[10], b[12]], [b[0], b[2], b[4], b[6]]])
+
+
+# the largest 1-norm at which each degree's approximant is exp to unit
+# roundoff (Higham 2005, table 2.3); degree 13 takes the rest after scaling
+_DEGREES = (3, 5, 7, 9, 13)
+_THETAS = (1.495585217958292e-2, 2.539398330063230e-1, 9.504178996162932e-1,
+           2.097847961257068e0, 5.371920351148152e0)
+_PADE_ROWS = {m: _pade_rows(m) for m in _DEGREES}
+_identity = functools.cache(np.identity)  # only ever copied from
+
+
+def _expm(a: np.ndarray, t: float = 1.0) -> np.ndarray:
+    """``exp(a t)`` of a real square matrix, without forming ``a t``.
+
+    The degree is the lowest whose threshold bounds ``|a t|_1``; above the
+    last, ``a t`` is scaled by ``2^-s`` into degree 13's and the result
+    squared ``s`` times.  Diagonal input (1x1 and zero among it) gets the
+    exact ``exp`` of its diagonal.  An exponential past double range comes
+    back non-finite; a non-finite ``a`` or ``t`` raises ``ValueError``.
+    """
+    with np.errstate(over="ignore"):  # huge entries are handled below
+        col = float(abs(a).sum(axis=0).max())
+    norm = col * abs(float(t))
+    if not norm < math.inf:
+        if not (np.isfinite(a).all() and math.isfinite(t)):
+            raise ValueError("matrix exponential of a non-finite matrix")
+        if not col < math.inf:  # the column sums overflow: halve, then square
+            half = _expm(0.5 * a, t)
+            return half.dot(half)
+    if np.count_nonzero(a) == np.count_nonzero(a.diagonal()):
+        return np.diag(np.exp(a.diagonal() * t))
+    m = _DEGREES[bisect.bisect_left(_THETAS, norm, hi=4)]
+    s = 0
+    if norm > _THETAS[4]:
+        s = math.ceil(math.log2(col / _THETAS[4]) + math.log2(abs(t)))
+    x = a * math.ldexp(t, -s)
+    n, k = len(a), _PADE_ROWS[m].shape[1]
+    powers = np.empty((k, n, n))
+    powers[0] = _identity(n)
+    x.dot(x, out=powers[1])
+    for j in range(2, k):
+        powers[j - 1].dot(powers[1], out=powers[j])
+    parts = _PADE_ROWS[m].dot(powers.reshape(k, -1)).reshape(-1, n, n)
+    if m == 13:
+        w1, w2, z1, z2 = parts
+        u = x.dot(powers[3].dot(w1) + w2)
+        v = powers[3].dot(z1) + z2
+    else:
+        u, v = x.dot(parts[0]), parts[1]
+    # np.linalg.solve's gufunc without its checks, which cost twice the solve
+    # here; the denominator is nonsingular at every norm its degree serves
+    r = _umath_linalg.solve(v - u, v + u, signature="dd->d")
+    for _ in range(s):
+        r = r.dot(r)
+    return r
+
+
 def _van_loan(a: np.ndarray, q: np.ndarray, b: np.ndarray, t: float):
     """``(exp(a t), F12)``, blocks of ``exp([[a, q], [0, -b]] t)``, where
     ``F12 = int_0^t exp(a (t - s)) q exp(-b s) ds``."""
@@ -105,7 +176,7 @@ def _van_loan(a: np.ndarray, q: np.ndarray, b: np.ndarray, t: float):
     aug[:n, :n] = a
     aug[:n, n:] = q
     aug[n:, n:] = -b
-    e = expm(aug * t)
+    e = _expm(aug, t)
     return e[:n, :n], e[:n, n:]
 
 
@@ -118,7 +189,7 @@ def transition_blocks(drift: np.ndarray, diffusion: np.ndarray, t: float) -> Gau
 
 def cross_integral(a: np.ndarray, q: np.ndarray, b: np.ndarray, t: float) -> np.ndarray:
     """Exact ``int_0^t exp(a s) q exp(b s) ds`` via an augmented exponential."""
-    return _van_loan(a, q, b, t)[1] @ expm(b * t)
+    return _van_loan(a, q, b, t)[1] @ _expm(b, t)
 
 
 def evolve(gen: GkslGenerator, v0: CovarianceMatrix, t: float) -> CovarianceMatrix:

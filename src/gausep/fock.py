@@ -58,7 +58,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import expm
 from scipy.sparse import _sparsetools
 
 from .generators import SystemModel, hamiltonian_form, noise_form
@@ -695,10 +694,10 @@ def squeezed_vacuum(space: FockSpace, r: float) -> np.ndarray:
     """Single-mode squeezed vacuum: position variance ``e^{-2r}/2``, momentum ``e^{2r}/2``."""
     if space.modes != 1:
         raise ValueError("squeezed vacuum builder is single mode")
-    a = space.destroy().astype(complex)
-    gen = 0.5 * r * (a @ a - a.T @ a.T)
-    u = expm(gen)
-    psi = u[:, 0]
+    a = space.destroy()
+    # exp(-i H) with the Hermitian H = i r (a^2 - a^dag^2) / 2, from its eigenbasis
+    energies, vecs = np.linalg.eigh(0.5j * r * (a @ a - a.T @ a.T))
+    psi = vecs @ (np.exp(-1j * energies) * vecs[0].conj())
     return np.outer(psi, psi.conj())
 
 

@@ -31,9 +31,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
-from .dynamics import GaussianMap
+from .dynamics import GaussianMap, _expm
 from .generators import (
     GkslGenerator,
     SystemModel,
@@ -389,7 +388,7 @@ def _affine_step(protocol: LoccProtocol, dt: float) -> GaussianMap:
     step = GaussianMap(np.eye(lo.dim), zero)
     for ch in protocol.channels:
         step = step.then(_channel_map(ch, lo, dt))
-    s_loc = expm(build_form(lo) @ protocol.local_hamiltonian * dt)
+    s_loc = _expm(build_form(lo) @ protocol.local_hamiltonian, dt)
     return step.then(GaussianMap(s_loc, zero))
 
 

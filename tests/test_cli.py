@@ -895,18 +895,61 @@ def test_evolve_overflow_exits_one_before_any_row(tmp_path, capsys):
     assert len(capsys.readouterr().out.splitlines()) == 6
 
 
-def test_cold_start_loads_no_quadrature_or_special_functions():
-    import subprocess
-    import sys
+@pytest.mark.parametrize("t", ["1e300", "1.7e308"])
+def test_evolve_overflow_at_an_extreme_time_is_one_error_line(t):
+    """At 1.7e308 even ``drift t`` overflows; both refuse, with no traceback."""
+    result = subprocess.run(
+        [sys.executable, "-m", "gausep", "evolve", "--t", t,
+         "--config", str(CONFIGS / "entangling.json")],
+        capture_output=True, text=True,
+    )
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert result.stderr == f"error: the covariance overflows before --t = {float(t):g}\n"
 
+
+def loaded_modules(argv, out):
+    """Modules a fresh interpreter has loaded after importing ``gausep.cli``
+    (and so ``gausep``) and, when ``argv`` is given, running it, with the
+    command's stdout dropped; ``{configs}`` and ``{out}`` in ``argv`` are
+    filled in."""
+    argv = [a.format(configs=CONFIGS, out=out) for a in argv]
     code = (
-        "import sys, gausep.cli; "
-        "print(sorted({'scipy.integrate', 'scipy.special', 'jsonschema'} & set(sys.modules)))"
+        "import contextlib, io, json, sys, gausep.cli\n"
+        "if sys.argv[1:]:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert gausep.cli.main(sys.argv[1:]) in (0, 2)\n"
+        "print(json.dumps(sorted(sys.modules)))"
     )
     result = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+        [sys.executable, "-c", code, *argv], capture_output=True, text=True, check=True
     )
-    assert result.stdout.strip() == "[]"
+    return set(json.loads(result.stdout))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["threshold", "--config", "{configs}/entangling.json"],
+        ["evolve", "--t", "0.5", "--steps", "4", "--config", "{configs}/entangling.json"],
+        ["sweep", "--config", "{configs}/sweep_onset.json", "--out", "{out}"],
+        ["locc-verify", "--t", "0.1", "--config", "{configs}/locc_harmonic.json"],
+    ],
+    ids=["import", "threshold", "evolve", "sweep", "locc-verify"],
+)
+def test_cold_start_and_gaussian_commands_load_no_scipy(tmp_path, argv):
+    modules = loaded_modules(argv, tmp_path / "out.csv")
+    assert "gausep.cli" in modules
+    assert not {m for m in modules if m.split(".")[0] in ("scipy", "jsonschema")}
+    assert not {"gausep.fock", "multiprocessing", "concurrent.futures.process"} & modules
+
+
+def test_oracle_loads_the_sparse_kernels_but_not_scipy_linalg():
+    argv = ["locc-verify", "--t", "0.1", "--oracle", "--config", "{configs}/locc_harmonic.json"]
+    modules = loaded_modules(argv, None)
+    assert {"gausep.fock", "scipy.sparse"} <= modules
+    assert not {m for m in modules if m == "scipy.linalg" or m.startswith("scipy.linalg.")}
 
 
 @pytest.mark.parametrize("level", ["debug", None])

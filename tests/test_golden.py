@@ -4,7 +4,9 @@ A refactor of the numerics must leave what the commands print unchanged.
 ``tests/golden/cli.json`` holds, for each command line, the exit code, the
 stdout and, for ``sweep``, the bytes of the CSV file, together with the numpy
 and scipy versions that produced them.  On other versions the replay is
-skipped: another ``expm`` or LAPACK build may move a last printed digit.
+skipped: another numpy or LAPACK build may move a last printed digit of the
+in-package matrix exponential or the linear algebra around it, and another
+scipy one of the dense oracle's sparse products.
 
 Re-record after an intended change of output with
 ``PYTHONPATH=src python tests/test_golden.py``.
