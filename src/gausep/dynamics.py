@@ -170,14 +170,23 @@ def _expm(a: np.ndarray, t: float = 1.0) -> np.ndarray:
 
 def _van_loan(a: np.ndarray, q: np.ndarray, b: np.ndarray, t: float):
     """``(exp(a t), F12)``, blocks of ``exp([[a, q], [0, -b]] t)``, where
-    ``F12 = int_0^t exp(a (t - s)) q exp(-b s) ds``."""
+    ``F12 = int_0^t exp(a (t - s)) q exp(-b s) ds``.
+
+    ``F12`` is linear in ``q``, so ``q`` enters divided by the power of two
+    ``2^k`` that brings ``n max|q| |t|``, a bound on ``|q t|_1``, down to
+    ``theta_13``, and ``F12`` comes back multiplied by ``2^k``; both steps
+    are exact.  A large diffusion then forces no squarings the drift does
+    not need, each of which would double the roundoff.
+    """
     n, m = q.shape
+    size = n * float(abs(q).max()) * abs(t)
+    k = math.ceil(math.log2(size / _THETAS[4])) if _THETAS[4] < size < math.inf else 0
     aug = np.zeros((n + m, n + m))
     aug[:n, :n] = a
-    aug[:n, n:] = q
+    aug[:n, n:] = np.ldexp(q, -k)
     aug[n:, n:] = -b
     e = _expm(aug, t)
-    return e[:n, :n], e[:n, n:]
+    return e[:n, :n], np.ldexp(e[:n, n:], k)
 
 
 def transition_blocks(drift: np.ndarray, diffusion: np.ndarray, t: float) -> GaussianMap:
@@ -207,65 +216,30 @@ def evolve(gen: GkslGenerator, v0: CovarianceMatrix, t: float) -> CovarianceMatr
 
 @dataclass(frozen=True, eq=False)
 class FirstOrderTerms:
-    """All rotated-frame ingredients of the first-order covariance.
+    """The first-order covariance in the doubly rotated frame, with its lab map.
 
-    ``p_a``/``p_b`` are the side integrals ``int_0^t v_i(s) v_i(s)^T ds`` of
-    the rotated coupling vectors ``v_i(s) = exp(M_i'^T s) w_i``; ``w_ab`` is
-    the cross integral ``int_0^t v_a(s) v_b(s)^T ds``.  ``v_g`` and ``v_th``
-    are the assembled first-order coupling and noise contributions in the
-    doubly rotated frame.
+    ``w_a``/``w_b`` are the rotated coupling vectors at ``s = 0`` and
+    ``p_a``/``p_b`` the side integrals ``int_0^t v_i(s) v_i(s)^T ds`` of
+    ``v_i(s) = exp(M_i'^T s) w_i``.  ``v_g`` and ``v_th`` are the assembled
+    first-order coupling and noise contributions, so the rotated-frame state
+    is ``I/2 + v_g + v_th``.  ``lab`` is the block-diagonal congruence
+    ``S^-1 exp(M' t)`` that undoes the initial Williamson transform ``S`` and
+    the inverse free rotation; :meth:`to_lab` applies it.
     """
 
     layout: ModeLayout
-    t: float
-    s_a: np.ndarray
-    s_b: np.ndarray
     w_a: np.ndarray
     w_b: np.ndarray
-    mprime_a: np.ndarray
-    mprime_b: np.ndarray
-    rotation_a: np.ndarray
-    rotation_b: np.ndarray
     p_a: np.ndarray
     p_b: np.ndarray
-    w_ab: np.ndarray
     v_g: np.ndarray
     v_th: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
-class PerturbativeFrame:
-    """First-order covariance in the doubly rotated frame, with frame data.
-
-    ``v_rotated`` is the covariance after conjugation by the block-diagonal
-    Williamson transform ``williamson_s`` of the initial state and by the
-    inverse free rotation; ``rotation`` is the block-diagonal ``exp(M' t)``.
-    ``to_lab()`` undoes both congruences.
-    """
-
-    v_rotated: CovarianceMatrix
-    williamson_s: np.ndarray
-    rotation: np.ndarray
-    layout: ModeLayout
-
-    @classmethod
-    def from_terms(cls, terms: FirstOrderTerms) -> "PerturbativeFrame":
-        """Assemble ``I/2 + V_g + V_th`` and the block-diagonal frame matrices."""
-        m = 0.5 * np.eye(terms.layout.dim) + terms.v_g + terms.v_th
-        return cls(
-            v_rotated=CovarianceMatrix(m, terms.layout),
-            williamson_s=direct_sum(terms.s_a, terms.s_b),
-            rotation=direct_sum(terms.rotation_a, terms.rotation_b),
-            layout=terms.layout,
-        )
-
-    def lab_map(self) -> np.ndarray:
-        """Block-diagonal congruence ``S^-1 exp(M' t)`` from this frame to the lab."""
-        return np.linalg.solve(self.williamson_s, self.rotation)
+    lab: np.ndarray
 
     def to_lab(self) -> CovarianceMatrix:
-        lab = self.lab_map()
-        return CovarianceMatrix(lab @ self.v_rotated.matrix @ lab.T, self.layout)
+        """The first-order covariance ``I/2 + V_g + V_th`` in the lab frame."""
+        m = 0.5 * np.eye(self.layout.dim) + self.v_g + self.v_th
+        return CovarianceMatrix(self.lab @ m @ self.lab.T, self.layout)
 
 
 def _require_rank1(model: SystemModel, what: str) -> None:
@@ -336,7 +310,9 @@ def first_order_terms(
     The initial state must be a pure product state (block-diagonal covariance
     whose blocks have symplectic eigenvalues 1/2); the default is the vacuum.
     All integrals are evaluated through augmented matrix exponentials, so the
-    only error in the returned terms is roundoff.
+    only error in the returned terms is roundoff; the error of ``to_lab()``
+    relative to :func:`evolve` scales with the square of the strength-time
+    products.
     """
     check_perturbative_window(model, t)
     if not 0.0 < t < np.inf:
@@ -365,37 +341,10 @@ def first_order_terms(
         v_th[: lo.dim_a, lo.dim_a :] += cross
         v_th[lo.dim_a :, : lo.dim_a] += cross.T
 
+    lab = np.linalg.solve(direct_sum(s_a, s_b), direct_sum(flow_a.T, flow_b.T))
     return FirstOrderTerms(
-        layout=lo,
-        t=t,
-        s_a=s_a,
-        s_b=s_b,
-        w_a=w_a,
-        w_b=w_b,
-        mprime_a=mprime_a,
-        mprime_b=mprime_b,
-        rotation_a=flow_a.T,
-        rotation_b=flow_b.T,
-        p_a=p_a,
-        p_b=p_b,
-        w_ab=w_ab,
-        v_g=v_g,
-        v_th=v_th,
+        layout=lo, w_a=w_a, w_b=w_b, p_a=p_a, p_b=p_b, v_g=v_g, v_th=v_th, lab=lab
     )
-
-
-def perturbative_v(
-    model: SystemModel, t: float, v0: CovarianceMatrix | None = None
-) -> PerturbativeFrame:
-    """First-order covariance ``I/2 + V_g + V_th`` in the doubly rotated frame.
-
-    The reporting frame is fixed: the returned covariance is expressed after
-    conjugating the lab-frame state by the initial Williamson transform and by
-    the inverse free local rotation.  Both frame matrices are part of the
-    result so callers can map back; errors relative to :func:`evolve` scale
-    with the square of the strength-time products.
-    """
-    return PerturbativeFrame.from_terms(first_order_terms(model, t, v0))
 
 
 # -- restricted-dynamics shape functions --------------------------------------

@@ -6,7 +6,9 @@ results can be cross-checked against an implementation that shares no code
 path with the Gaussian one.
 
 * :func:`build_fock_generator` turns the quadratic Hamiltonian and noise
-  forms into sparse Hermitian matrices: Hamiltonian and quadrature Lindblads;
+  forms into the sparse parity blocks of the master equation: the
+  non-Hermitian part ``-iH - (1/2) sum_k q_k L_k^2`` and the quadrature
+  Lindblads ``L_k``, each stored only as its nonzero blocks;
 * :func:`lindblad_integrate` propagates a dense density matrix by a Taylor
   series of the master equation that is exact to double precision (no fixed
   step), guarding the truncation by the population of the highest level.
@@ -177,7 +179,7 @@ class FockSpace:
 class FockGenerator:
     """Sparse master-equation pieces.
 
-    ``half_generator`` is the non-Hermitian combination
+    ``half`` is the non-Hermitian combination
     ``-iH - (1/2) sum_k q_k L_k^2``.  As ``||A X||_s <= ||A||_1 ||X||_s`` and
     ``||X A||_s <= ||A||_inf ||X||_s`` in the entrywise 1-norm ``||.||_s``,
     ``norm_bound = 2 ||half||_1 + sum_k q_k ||L_k||_1 ||L_k||_inf`` bounds
@@ -190,30 +192,12 @@ class FockGenerator:
     ``split_lindblads`` holds, for each ``S_k = sqrt(q_k/2) L_k``, the factor
     :func:`lindblad_rhs` applies twice, its off-diagonal blocks
     ``(S_01, S_10)``, real when ``L_k`` is; every other block is empty.
-    The full-space ``hamiltonian``, ``half_generator`` and ``lindblads``
-    (at ``rates``) are built on first use from ``entries``, theirs on the
-    space's shared patterns.
     """
 
     space: FockSpace
     norm_bound: float
     half_blocks: tuple[sp.csr_array, sp.csr_array]
     split_lindblads: tuple[tuple[sp.csr_array, sp.csr_array], ...]
-    rates: tuple[float, ...]
-    entries: tuple[np.ndarray, np.ndarray, np.ndarray]
-
-    @functools.cached_property
-    def hamiltonian(self) -> sp.csr_array:
-        return self.space._quadratic.matrix(self.entries[0])
-
-    @functools.cached_property
-    def half_generator(self) -> sp.csr_array:
-        return self.space._quadratic.matrix(self.entries[1])
-
-    @functools.cached_property
-    def lindblads(self) -> tuple[tuple[float, sp.csr_array], ...]:
-        linear = self.space._linear
-        return tuple((r, linear.matrix(op)) for r, op in zip(self.rates, self.entries[2]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -268,27 +252,20 @@ class _SharedPattern:
         coeffs = np.asarray(coeffs, dtype=complex)
         return coeffs.reshape(-1, len(self.data)) @ self.data
 
-    def matrix(self, values: np.ndarray) -> sp.csr_array:
-        """The matrix with these stored entries, exact zeros dropped."""
-        return _csr(values, self.rows, self.cols, (self.dim, self.dim))
-
     def block(self, values: np.ndarray, r: int, c: int) -> sp.csr_array:
-        """Block ``(r, c)`` of :meth:`matrix`, exact zeros dropped."""
+        """Block ``(r, c)`` of the matrix with these stored entries, as CSR
+        with exact zeros dropped."""
         take, rows, cols, shape = self.blocks[r, c]
-        return _csr(values[take], rows, cols, shape)
+        values = values[take]
+        keep = values != 0
+        indptr = np.zeros(shape[0] + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows[keep], minlength=shape[0]), out=indptr[1:])
+        return sp.csr_array((values[keep], cols[keep], indptr), shape=shape)
 
     def norm(self, values: np.ndarray, axis: int) -> float:
         """Largest column (``axis`` 0: the 1-norm) or row (1: the inf-norm) sum."""
         lines = self.cols if axis == 0 else self.rows
         return float(np.bincount(lines, weights=np.abs(values), minlength=self.dim).max())
-
-
-def _csr(values: np.ndarray, rows: np.ndarray, cols: np.ndarray, shape) -> sp.csr_array:
-    """CSR matrix of the nonzero ``values`` at row-major sorted ``(rows, cols)``."""
-    keep = values != 0
-    indptr = np.zeros(shape[0] + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows[keep], minlength=shape[0]), out=indptr[1:])
-    return sp.csr_array((values[keep], cols[keep], indptr), shape=shape)
 
 
 def build_fock_generator(
@@ -301,10 +278,9 @@ def build_fock_generator(
     Hermitian quadrature Lindblad operator at the eigenvalue rate.  Rates at
     or below ``n eps`` times the largest (``n`` quadratures) are dropped.
     The operators are combinations of the quadratures and their symmetrized
-    products, which the space keeps on shared patterns: ``H`` and ``half``
-    are one product with the ``n^2`` products, the Lindblads one with the
-    ``n`` quadratures, and every sector block a gather from those entries;
-    only the blocks are built here, the full-space matrices on first use.
+    products, which the space keeps on shared patterns: ``half`` is one
+    product with the ``n^2`` products, the Lindblads one with the ``n``
+    quadratures, and every sector block a gather from those entries.
     """
     n = len(space.quadratures())
     if g_form.shape != (n, n) or q_form.shape != (n, n):
@@ -319,7 +295,7 @@ def build_fock_generator(
     quadratic, linear = space._quadratic, space._linear
     # -iH - (1/2) sum_k q_k L_k^2, as L_k^2 = sum_jk v_j v_k q_j q_k
     squares = (vecs * rates) @ vecs.T
-    h, half = quadratic.combine([0.5 * g_form, -0.5j * g_form - 0.5 * squares])
+    (half,) = quadratic.combine(-0.5j * g_form - 0.5 * squares)
     ops = linear.combine(vecs.T)
     rates = rates.tolist()
     splits = []
@@ -335,8 +311,6 @@ def build_fock_generator(
         + sum(r * linear.norm(op, 0) * linear.norm(op, 1) for r, op in zip(rates, ops)),
         half_blocks=tuple(quadratic.block(half, j, j) for j in (0, 1)),
         split_lindblads=tuple(splits),
-        rates=tuple(rates),
-        entries=(h, half, ops),
     )
 
 

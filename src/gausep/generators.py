@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .symplectic import CovarianceMatrix, ModeLayout, build_form, direct_sum, mode_form
+from .symplectic import ModeLayout, build_form, direct_sum, mode_form
 
 # symmetry and positivity of the forms are judged relative to each form's
 # largest entry, so a laboratory-scale form is held to the same standard
@@ -205,12 +205,6 @@ def generator_from_forms(layout: ModeLayout, g: np.ndarray, q: np.ndarray) -> Gk
 def build_generator(model: SystemModel) -> GkslGenerator:
     """Generator of the model's master equation, either variant."""
     return generator_from_forms(model.layout, hamiltonian_form(model), noise_form(model))
-
-
-def moment_equations(gen: GkslGenerator, v: CovarianceMatrix) -> np.ndarray:
-    """Right-hand side ``dV/dt`` of the covariance equation of motion."""
-    m = v.matrix
-    return gen.drift @ m + m @ gen.drift.T + gen.diffusion
 
 
 def local_drift_blocks(model: SystemModel) -> tuple[np.ndarray, np.ndarray]:

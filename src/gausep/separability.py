@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import PerturbativeFrame, ShapeFunctions, first_order_terms
+from .dynamics import ShapeFunctions, first_order_terms
 from .generators import Rank1Coupling, SystemModel, coupling_form, noise_form
 from .symplectic import (
     CovarianceMatrix,
@@ -209,8 +209,8 @@ class SeparabilityCertificate:
     """Explicit separable decomposition ``V = sigma_a (+) sigma_b + N``.
 
     All matrices are reported in the lab frame; the decomposition refers to
-    the first-order covariance ``v_first_order``, the ``to_lab()`` image of
-    the perturbative state in ``frame``.  ``remainder`` is positive
+    the first-order covariance ``v_first_order``, which is
+    ``first_order_terms(model, t, v0).to_lab()``.  ``remainder`` is positive
     semidefinite and the sigmas are physical single-side covariances, so the
     decomposition is a separability proof for the first-order state.
     """
@@ -219,7 +219,6 @@ class SeparabilityCertificate:
     sigma_b: np.ndarray
     remainder: np.ndarray
     v_first_order: CovarianceMatrix
-    frame: PerturbativeFrame
     margin: float
     min_remainder_eig: float
     sigma_physicality_margins: tuple[float, float]
@@ -341,12 +340,11 @@ def certificate_first_order(
             f"(min eigenvalue {min_remainder:.3e}) despite the reduced blocks passing"
         )
 
-    frame = PerturbativeFrame.from_terms(terms)
-    lab = frame.lab_map()
+    lab = terms.lab
     sigmas = lab @ (0.5 * np.eye(lo.dim) - dv) @ lab.T
     sigma_a, sigma_b = sigmas[: lo.dim_a, : lo.dim_a], sigmas[lo.dim_a :, lo.dim_a :]
     n_lab = lab @ n_rot @ lab.T
-    v_lab = frame.to_lab()
+    v_lab = terms.to_lab()
     residual = float(np.abs(v_lab.matrix - direct_sum(sigma_a, sigma_b) - n_lab).max())
 
     # the balancing term anticommutes with the symplectic form, so the
@@ -370,7 +368,6 @@ def certificate_first_order(
         sigma_b=sigma_b,
         remainder=0.5 * (n_lab + n_lab.T),
         v_first_order=v_lab,
-        frame=frame,
         margin=float(margin),
         min_remainder_eig=min_remainder,
         sigma_physicality_margins=(sigma_margins[0], sigma_margins[1]),

@@ -120,18 +120,6 @@ class CovarianceMatrix:
         return self.matrix[:d, d:]
 
 
-@dataclass(frozen=True, eq=False)
-class WilliamsonDecomposition:
-    """Symplectic congruence ``S V S^T = diag(nu_1, nu_1, ..., nu_n, nu_n)``."""
-
-    s: np.ndarray
-    nu: np.ndarray
-
-    @property
-    def diagonal(self) -> np.ndarray:
-        return np.repeat(self.nu, 2)
-
-
 def is_physical(v: CovarianceMatrix) -> bool:
     """Check the uncertainty relation ``V + (i/2) Omega >= 0``.
 
@@ -159,21 +147,20 @@ def symplectic_spectrum(v: CovarianceMatrix) -> np.ndarray:
     return moduli[::2].copy()
 
 
-def williamson(v: CovarianceMatrix) -> WilliamsonDecomposition:
+def williamson(v: CovarianceMatrix) -> tuple[np.ndarray, np.ndarray]:
     """Williamson normal form of a positive definite covariance matrix.
 
-    Returns ``S`` (symplectic, ``S Omega S^T = Omega``) and the symplectic
-    eigenvalues ``nu`` sorted descending, such that ``S V S^T`` is the diagonal
-    matrix with each ``nu_k`` repeated twice.  The decomposition is obtained
-    from the eigenvectors of ``i Omega V`` (computed through the equivalent
-    Hermitian pencil ``V^(1/2) (i Omega) V^(1/2)``), with the symplectic basis
-    re-orthonormalized explicitly.  Ties between degenerate symplectic
+    Returns ``(S, nu)``: ``S`` symplectic (``S Omega S^T = Omega``) and the
+    symplectic eigenvalues ``nu`` sorted descending, such that ``S V S^T`` is
+    the diagonal matrix with each ``nu_k`` repeated twice.  The decomposition
+    is obtained from the eigenvectors of ``i Omega V`` (computed through the
+    equivalent Hermitian pencil ``V^(1/2) (i Omega) V^(1/2)``), with the
+    symplectic basis re-orthonormalized explicitly.  Ties between degenerate symplectic
     eigenvalues are broken deterministically: eigenvector phases are fixed on
     the dominant component, and members of a degenerate group are ordered by
     ascending phase angle of their dominant component (component index first).
     """
-    s, nu = _williamson_matrix(v.matrix, build_form(v.layout))
-    return WilliamsonDecomposition(s=s, nu=nu)
+    return _williamson_matrix(v.matrix, build_form(v.layout))
 
 
 def _williamson_matrix(m: np.ndarray, omega: np.ndarray):

@@ -942,7 +942,8 @@ def test_cold_start_and_gaussian_commands_load_no_scipy(tmp_path, argv):
     modules = loaded_modules(argv, tmp_path / "out.csv")
     assert "gausep.cli" in modules
     assert not {m for m in modules if m.split(".")[0] in ("scipy", "jsonschema")}
-    assert not {"gausep.fock", "multiprocessing", "concurrent.futures.process"} & modules
+    forbidden = {"gausep.fock", "gausep.gravity", "multiprocessing", "concurrent.futures.process"}
+    assert not forbidden & modules
 
 
 def test_oracle_loads_the_sparse_kernels_but_not_scipy_linalg():

@@ -16,13 +16,15 @@ from gausep.dynamics import (
     ParallelConditionError,
     RegimeError,
     _expm,
+    _van_loan,
     check_perturbative_window,
     cross_integral,
     evolve,
-    perturbative_v,
+    first_order_terms,
     shape_functions,
     transition_blocks,
 )
+from gausep.gravity import TwoMassScenario, to_model
 from gausep.generators import (
     Rank1Coupling,
     ScalarWhiteNoise,
@@ -163,7 +165,7 @@ def test_first_order_error_is_second_order_in_the_products():
     errors = []
     for t in (0.5, 0.25):
         exact = evolve(gen, v0, t).matrix
-        approx = perturbative_v(model, t).to_lab().matrix
+        approx = first_order_terms(model, t).to_lab().matrix
         errors.append(np.abs(approx - exact).max())
     assert errors[0] < 5e-4
     assert errors[0] / errors[1] > 3.0
@@ -353,6 +355,38 @@ def test_expm_matches_a_30_digit_exponential(name, t):
     with mpmath.workdps(30):
         exact = np.array(mpmath.expm(mpmath.matrix(aug.tolist())).tolist(), dtype=float)
     assert relative_gap(_expm(aug), exact) <= 1e-15
+
+
+@pytest.mark.parametrize("temperature", [1e-3, 1.0, 300.0])
+@pytest.mark.parametrize("gamma", [1e-6, 1e-3, 1.0])
+@pytest.mark.parametrize("t", [1.0, 10.0, 100.0])
+def test_van_loan_blocks_of_lab_models_match_a_50_digit_exponential(temperature, gamma, t):
+    """A thermal drive up to 8e13 against a unit drift costs no squarings.
+
+    Each block is within ``eps max(8, |A t|_1)`` relative of the exponential
+    to 50 digits: 1.8e-15 up to ``|A t|_1 = 8``, and beyond that as much as
+    the squarings the drift's own norm needs leave of the rotation
+    ``exp(A t)`` (7.0e-16 seen at ``t = 10``, 6.7e-15 at 100).  Choosing the
+    squarings from the whole block read up to 8.3e-9 at ``t = 1`` and
+    6.3e-7 at 100.
+    """
+    scenario = TwoMassScenario(1e-14, 1e-14, 1e-6, gamma, gamma, temperature)
+    gen = build_generator(to_model(scenario, 1.0)[0])
+    a, q, n = gen.drift, gen.diffusion, len(gen.drift)
+    aug = np.zeros((2 * n, 2 * n))
+    aug[:n, :n], aug[:n, n:], aug[n:, n:] = a, q, -a.T
+    with mpmath.workdps(50):
+        exact = mpmath.expm(mpmath.matrix(aug.tolist()) * mpmath.mpf(t))
+        exact = np.array(exact.tolist(), dtype=float)
+    bound = np.finfo(float).eps * max(8.0, np.abs(a).sum(axis=0).max() * t)
+    phi, f12 = _van_loan(a, q, a.T, t)
+    assert relative_gap(phi, exact[:n, :n]) <= bound
+    assert relative_gap(f12, exact[:n, n:]) <= bound
+    # a zero drift (a free mass) leaves q t, scaled or not
+    zero = np.zeros_like(a)
+    phi, f12 = _van_loan(zero, q, zero, t)
+    assert np.array_equal(phi, np.eye(n))
+    assert relative_gap(f12, q * t) <= np.finfo(float).eps
 
 
 @pytest.mark.parametrize("theta", [1.495585217958292e-2, 2.539398330063230e-1,

@@ -251,8 +251,8 @@ def test_protocol_unitary_matches_the_dense_exponential(cutoff):
     space = FockSpace(cutoff, modes=2)
     dt = 0.05
     h_loc = build_rank1_protocol(model).local_hamiltonian
-    gen = build_fock_generator(space, h_loc, np.zeros_like(h_loc))
-    u = expm(-1j * gen.hamiltonian.toarray() * dt)
+    h, _, _ = dense_generator(space, h_loc, np.zeros_like(h_loc))
+    u = expm(-1j * h.toarray() * dt)
     for protocol in (
         build_rank1_protocol(model),
         LoccProtocol(model.layout, (), h_loc),
@@ -458,7 +458,7 @@ def test_generic_direction_keeps_one_lindblad_per_noise_direction():
     )
     q = noise_form(model)
     fgen = fock_generator_from_model(model, cutoff=4)
-    assert len(fgen.lindblads) == np.linalg.matrix_rank(q) == 2
+    assert len(fgen.split_lindblads) == np.linalg.matrix_rank(q) == 2
 
 
 def test_dense_log_negativity_matches_gaussian():
@@ -501,12 +501,13 @@ def test_cutoff_is_capped_before_any_operator_is_built():
     assert FockSpace(32).dim == 32**2
 
 
-def dense_liouvillian(fgen):
+def dense_liouvillian(operators):
     """Column-stacked superoperator: vec(A X B) = (B^T kron A) vec(X)."""
-    half = fgen.half_generator.toarray()
+    _, half, lindblads = operators
+    half = half.toarray()
     eye = np.eye(half.shape[0])
     sup = np.kron(eye, half) + np.kron(half.conj(), eye)
-    for rate, op in fgen.lindblads:
+    for rate, op in lindblads:
         dense = op.toarray()
         sup += rate * np.kron(dense.T, dense)
     return sup
@@ -534,9 +535,11 @@ def correlated_model():
 @pytest.mark.parametrize("cutoff, t", [(4, 0.05), (4, 1.5), (5, 0.4)])
 def test_integrator_matches_the_liouvillian_exponential(cutoff, t):
     """Exact to roundoff, over one substep and over several."""
-    fgen = fock_generator_from_model(correlated_model(), cutoff)
+    model = correlated_model()
+    fgen = fock_generator_from_model(model, cutoff)
     rho0 = random_state(fgen.space.dim, cutoff)
-    exact = expm(t * dense_liouvillian(fgen)) @ rho0.reshape(-1, order="F")
+    operators = dense_generator(fgen.space, hamiltonian_form(model), noise_form(model))
+    exact = expm(t * dense_liouvillian(operators)) @ rho0.reshape(-1, order="F")
     rho = lindblad_integrate(fgen, rho0, t, leakage_limit=1.0)
     assert np.abs(rho - exact.reshape(rho0.shape, order="F")).max() <= 1e-13
 
@@ -553,11 +556,13 @@ def test_integrator_composes_exactly():
 
 
 def test_rhs_matches_the_dense_master_equation():
-    fgen = fock_generator_from_model(correlated_model(), cutoff=6)
+    model = correlated_model()
+    fgen = fock_generator_from_model(model, cutoff=6)
     rho = random_state(fgen.space.dim, 3)
-    h = fgen.hamiltonian.toarray()
+    h, _, lindblads = dense_generator(fgen.space, hamiltonian_form(model), noise_form(model))
+    h = h.toarray()
     expected = -1j * (h @ rho - rho @ h)
-    for rate, op in fgen.lindblads:
+    for rate, op in lindblads:
         dense = op.toarray()
         sq = dense @ dense
         expected += rate * (dense @ rho @ dense - 0.5 * (sq @ rho + rho @ sq))
@@ -604,35 +609,38 @@ def test_in_place_accumulate_equals_the_public_product():
         _matmul_add(a, x, np.zeros((30, 7), dtype=complex))
 
 
-def six_product_rhs(fgen, rho):
-    """Right-hand side on any ``rho``: ``half rho + rho half^dagger + sum r L rho L``."""
+def six_product_rhs(operators, rho):
+    """Right-hand side on any ``rho``: ``half rho + rho half^dagger + sum r L rho L``,
+    for ``operators`` from :func:`dense_generator`."""
+    _, half, lindblads = operators
     rho_h = rho.conj().T
-    half = fgen.half_generator
     out = half @ rho + (half @ rho_h).conj().T
-    for rate, op in fgen.lindblads:
+    for rate, op in lindblads:
         out += rate * (op @ (op @ rho_h).conj().T)
     return out
 
 
-def reference_integrate(fgen, rho, t, degree=30):
+def reference_integrate(fgen, operators, rho, t, degree=30):
     """Taylor series of ``six_product_rhs`` on substeps of norm at most one."""
     steps = max(1, math.ceil(t * fgen.norm_bound))
     rho = rho.astype(complex)
     for _ in range(steps):
         term = rho
         for k in range(1, degree + 1):
-            term = six_product_rhs(fgen, term) * (t / (steps * k))
+            term = six_product_rhs(operators, term) * (t / (steps * k))
             rho = rho + term
         rho = 0.5 * (rho + rho.conj().T)
     return rho
 
 
 def test_integrator_matches_the_six_product_reference():
-    fgen = fock_generator_from_model(correlated_model(), cutoff=8)
+    model = correlated_model()
+    fgen = fock_generator_from_model(model, cutoff=8)
+    operators = dense_generator(fgen.space, hamiltonian_form(model), noise_form(model))
     rho0 = random_state(fgen.space.dim, 8)
     for t in (0.01, 0.3):
         rho = lindblad_integrate(fgen, rho0, t, leakage_limit=1.0)
-        assert np.abs(rho - reference_integrate(fgen, rho0, t)).max() <= 1e-14
+        assert np.abs(rho - reference_integrate(fgen, operators, rho0, t)).max() <= 1e-14
 
 
 def high_occupation_state(cutoff, seed):
@@ -645,14 +653,16 @@ def high_occupation_state(cutoff, seed):
 
 @pytest.mark.parametrize("t", [0.01, 0.05, 0.3])
 def test_high_occupation_state_matches_the_full_degree_reference(t):
-    fgen = fock_generator_from_model(correlated_model(), cutoff=8)
+    model = correlated_model()
+    fgen = fock_generator_from_model(model, cutoff=8)
+    operators = dense_generator(fgen.space, hamiltonian_form(model), noise_form(model))
     rho0 = high_occupation_state(8, 12)
-    reference = reference_integrate(fgen, rho0, t)
+    reference = reference_integrate(fgen, operators, rho0, t)
     rho = lindblad_integrate(fgen, rho0, t, leakage_limit=1.0)
     assert np.abs(rho - reference).max() <= 1e-15 * np.abs(reference).max()
 
 
-def tail_bound_stop(fgen, rho, t):
+def tail_bound_stop(fgen, operators, rho, t):
     """First term of a one-substep series after which the tail is negligible.
 
     With ``x = t norm_bound`` and ``k + 1 > x``, every term after ``T_k`` is
@@ -665,7 +675,7 @@ def tail_bound_stop(fgen, rho, t):
     floor = 2.0**-54 * np.trace(rho).real
     term = rho
     for k in range(1, degree + 1):
-        term = six_product_rhs(fgen, term) * (t / k)
+        term = six_product_rhs(operators, term) * (t / k)
         if k + 1 > x and np.abs(term).sum() * x / (k + 1 - x) <= floor:
             return k
     return degree
@@ -689,13 +699,15 @@ def test_a_vacuum_chunk_stops_at_the_tail_bound_whatever_the_cutoff(monkeypatch)
         calls.clear()
         lindblad_integrate(fgen, vacuum, 0.01)
         used[cutoff] = len(calls)
-        assert used[cutoff] == tail_bound_stop(fgen, vacuum, 0.01)
+        operators = dense_generator(fgen.space, hamiltonian_form(model), noise_form(model))
+        assert used[cutoff] == tail_bound_stop(fgen, operators, vacuum, 0.01)
         assert used[cutoff] < _taylor_schedule(fgen, 0.01)[0]
     assert len(set(used.values())) == 1
 
 
 def test_rhs_buffers_are_filled_and_returned():
-    fgen = fock_generator_from_model(correlated_model(), cutoff=6)
+    model = correlated_model()
+    fgen = fock_generator_from_model(model, cutoff=6)
     space = fgen.space
     rho = random_state(fgen.space.dim, 4)
     rho = 0.5 * (rho + rho.conj().T)
@@ -709,7 +721,8 @@ def test_rhs_buffers_are_filled_and_returned():
     fresh = _join_sectors(space, lindblad_rhs(fgen, blocks))
     np.testing.assert_array_equal(joined, fresh)
     np.testing.assert_array_equal(joined, joined.conj().T)
-    np.testing.assert_allclose(joined, six_product_rhs(fgen, rho), rtol=0, atol=1e-14)
+    operators = dense_generator(space, hamiltonian_form(model), noise_form(model))
+    np.testing.assert_allclose(joined, six_product_rhs(operators, rho), rtol=0, atol=1e-14)
 
 
 def test_integrated_state_is_exactly_hermitian_and_the_input_is_kept():
@@ -760,16 +773,12 @@ def test_generator_never_connects_the_two_parities(cutoff):
     for model in (correlated_model(), rank1_model(1.0, 2.0, 2.0, h_a=np.eye(2))):
         fgen = fock_generator_from_model(model, cutoff)
         space = fgen.space
-        for a in (fgen.half_generator, fgen.hamiltonian):
+        h, half, lindblads = dense_generator(space, hamiltonian_form(model), noise_form(model))
+        for a in (half, h):
             assert not sector_block(a, space, 0, 1).any()
             assert not sector_block(a, space, 1, 0).any()
-        for j in (0, 1):
-            np.testing.assert_array_equal(
-                fgen.half_blocks[j].toarray(),
-                sector_block(fgen.half_generator, space, j, j),
-            )
-        assert len(fgen.split_lindblads) == len(fgen.lindblads)
-        for (rate, op), split in zip(fgen.lindblads, fgen.split_lindblads):
+        assert len(fgen.split_lindblads) == len(lindblads)
+        for (rate, op), split in zip(lindblads, fgen.split_lindblads):
             for j in (0, 1):
                 assert not sector_block(op, space, j, j).any()
                 np.testing.assert_allclose(
@@ -787,6 +796,28 @@ def dense_quadratures(space):
     return [np.kron(x, eye), np.kron(p, eye), np.kron(eye, x), np.kron(eye, p)]
 
 
+def dense_generator(space, g, q):
+    """Reference operators from products of the dense quadratures, stored as CSR.
+
+    Returns ``H = (1/2) xi^T G xi``, ``half = -iH - (1/2) sum_k r_k L_k^2``
+    and the pairs ``(r_k, L_k)``: one quadrature ``L_k`` per eigenvector of
+    ``Q`` whose rate ``r_k`` is above ``n eps`` times the largest, as
+    :func:`build_fock_generator` keeps them.
+    """
+    quads = dense_quadratures(space)
+    n = len(quads)
+    zero = np.zeros((space.dim, space.dim), dtype=complex)
+    h = 0.5 * sum((g[j, k] * quads[j] @ quads[k] for j, k in zip(*np.nonzero(g))), zero)
+    h = 0.5 * (h + h.conj().T)
+    rates, vecs = np.linalg.eigh(q)
+    kept = rates > n * np.finfo(float).eps * max(rates[-1], 0.0)
+    rates, vecs = rates[kept], vecs[:, kept]
+    ops = [sum(v[j] * quads[j] for j in range(n)) for v in vecs.T]
+    half = -1j * h - 0.5 * sum((r * op @ op for r, op in zip(rates, ops)), zero)
+    lindblads = [(float(r), sp.csr_array(op)) for r, op in zip(rates, ops)]
+    return sp.csr_array(h), sp.csr_array(half), lindblads
+
+
 @pytest.mark.parametrize("cutoff", [5, 12])
 def test_generator_and_moments_match_dense_quadrature_algebra(cutoff):
     """The shared-pattern assembly against products of dense quadratures."""
@@ -794,24 +825,21 @@ def test_generator_and_moments_match_dense_quadrature_algebra(cutoff):
     fgen = fock_generator_from_model(model, cutoff)
     space = fgen.space
     quads = dense_quadratures(space)
-    g, q = hamiltonian_form(model), noise_form(model)
-    h = 0.5 * sum(g[j, k] * quads[j] @ quads[k] for j in range(4) for k in range(4))
-    h = 0.5 * (h + h.conj().T)
-    rates, vecs = np.linalg.eigh(q)
-    kept = rates > 4 * np.finfo(float).eps * rates.max()  # the zero rates of Q
-    rates, vecs = rates[kept], vecs[:, kept]
-    ops = [sum(v[j] * quads[j] for j in range(4)) for v in vecs.T]
-    half = -1j * h - 0.5 * sum(r * op @ op for r, op in zip(rates, ops))
+    _, half, lindblads = dense_generator(space, hamiltonian_form(model), noise_form(model))
+    half = half.toarray()
+    rates = [r for r, _ in lindblads]
+    ops = [op.toarray() for _, op in lindblads]
+    assert len(rates) == 2  # the two nonzero rates of Q
 
     def close(actual, expected):
         scale = np.abs(expected).max()
         assert np.abs(actual - expected).max() <= 1e-15 * scale
 
-    close(fgen.hamiltonian.toarray(), h)
-    close(fgen.half_generator.toarray(), half)
-    assert [r for r, _ in fgen.lindblads] == rates.tolist()
-    for (_, op), expected in zip(fgen.lindblads, ops):
-        close(op.toarray(), expected)
+    assert len(fgen.split_lindblads) == len(ops)
+    for r, op, split in zip(rates, ops, fgen.split_lindblads):
+        for j in (0, 1):
+            expected = math.sqrt(0.5 * r) * sector_block(op, space, j, 1 - j)
+            close(split[j].toarray(), expected)
     norm_bound = 2.0 * np.abs(half).sum(axis=0).max() + sum(
         r * np.abs(op).sum(axis=0).max() * np.abs(op).sum(axis=1).max()
         for r, op in zip(rates, ops)
@@ -915,7 +943,7 @@ def test_lab_scale_indefinite_noise_form_is_refused():
         with pytest.raises(ValueError, match="positive semidefinite"):
             build_fock_generator(space, g, scale * np.diag([1.0, -10.0, 0.0, 0.0]))
         fgen = build_fock_generator(space, g, scale * np.diag([1.0, 1.0, 0.0, 0.0]))
-        assert len(fgen.lindblads) == 2
+        assert len(fgen.split_lindblads) == 2
 
 
 def test_quadratures_are_built_once_per_space():
@@ -1004,13 +1032,14 @@ def test_windowed_terms_equal_full_reach_terms_on_random_states(reach, seed, t, 
         else correlated_model()
     )
     fgen = fock_generator_from_model(model, cutoff=8)
+    operators = dense_generator(fgen.space, hamiltonian_form(model), noise_form(model))
     rho0 = low_reach_state(fgen.space, reach, seed)
     windowed = lindblad_integrate(fgen, rho0, t, leakage_limit=1.0)
     with pytest.MonkeyPatch.context() as patch:
         full = integrate_at_full_reach(patch, fgen, rho0, t)
     np.testing.assert_array_equal(windowed, full)
     # and both are the series of the whole state, not of a cut of it
-    assert np.abs(windowed - reference_integrate(fgen, rho0, t)).max() <= 1e-13
+    assert np.abs(windowed - reference_integrate(fgen, operators, rho0, t)).max() <= 1e-13
 
 
 def test_a_vacuum_chunk_hands_term_k_the_states_up_to_total_2k(monkeypatch):
@@ -1096,10 +1125,3 @@ def test_position_noise_is_applied_by_the_real_kernel_bitwise():
     _matmul_add(a, x, out)
     np.testing.assert_array_equal(out, a.astype(complex) @ x)
 
-
-def test_full_space_operators_are_built_on_first_use():
-    fgen = fock_generator_from_model(correlated_model(), cutoff=6)
-    lazy = ("hamiltonian", "half_generator", "lindblads")
-    assert not any(name in vars(fgen) for name in lazy)
-    assert fgen.hamiltonian is fgen.hamiltonian
-    assert all(op.dtype == np.complex128 for _, op in fgen.lindblads)

@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from gausep.dynamics import evolve, perturbative_v, shape_functions
+from gausep.dynamics import evolve, first_order_terms, shape_functions
 from gausep.generators import (
     GeneralCoupling,
     MatrixWhiteNoise,
@@ -248,8 +248,8 @@ def test_certificate_holds_above_threshold_at_every_scale(k):
     assert isinstance(cert, SeparabilityCertificate)
     assert cert.min_remainder_eig > 0
     assert cert.decomposition_residual < 1e-15
-    # the certificate decomposes exactly the state perturbative_v reports
-    lab = perturbative_v(model, 1.0).to_lab()
+    # the certificate decomposes exactly the state first_order_terms reports
+    lab = first_order_terms(model, 1.0).to_lab()
     np.testing.assert_array_equal(cert.v_first_order.matrix, lab.matrix)
 
 
