@@ -501,10 +501,13 @@ def cmd_sweep(args) -> int:
         writer = _csv_writer(stream)
         if not done:
             writer.writerow(header)
-        if args.jobs > 1 and payloads:
+        # the pool forks all its workers at once, so never more than there
+        # are points to run or cores to run them on
+        workers = min(args.jobs, len(payloads), os.cpu_count() or 1)
+        if workers > 1:
             from concurrent.futures import ProcessPoolExecutor
-            pool = ProcessPoolExecutor(max_workers=args.jobs)
-            chunk = max(1, len(payloads) // (args.jobs * 4))
+            pool = ProcessPoolExecutor(max_workers=workers)
+            chunk = max(1, len(payloads) // (workers * 4))
             results = pool.map(_sweep_worker, payloads, chunksize=chunk)
         else:
             pool = None
@@ -531,6 +534,13 @@ def _finite(text: str) -> float:
     value = float(text)
     if not np.isfinite(value):
         raise argparse.ArgumentTypeError(f"must be finite, got {text}")
+    return value
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {text}")
     return value
 
 
@@ -572,7 +582,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="cartesian parameter sweep as CSV")
     p_sweep.add_argument("--config", required=True)
     p_sweep.add_argument("--out", required=True)
-    p_sweep.add_argument("--jobs", type=int, default=1)
+    p_sweep.add_argument("--jobs", type=_positive_int, default=1)
     return parser
 
 

@@ -682,18 +682,14 @@ def product_state(rho_a: np.ndarray, rho_b: np.ndarray) -> np.ndarray:
 # -- record-averaged channel step ---------------------------------------------
 
 
-def _quadrature_eigenbasis(space_1: FockSpace, vec: np.ndarray | None):
+@functools.lru_cache(maxsize=32)
+def _eigenbasis(cutoff: int, vec: tuple[float, ...] | None):
     """Eigen-decomposition of ``vec . (x, p)`` on a single mode, of 0 for None.
 
     A position direction (``vec[1] == 0``) is a real operator, and its
     eigenbasis is taken real, so the basis changes into it can be real.
     Cached per cutoff and direction, read-only: one ``eigh`` per direction.
     """
-    return _eigenbasis(space_1.cutoff, None if vec is None else tuple(vec.tolist()))
-
-
-@functools.lru_cache(maxsize=32)
-def _eigenbasis(cutoff: int, vec: tuple[float, ...] | None):
     one = _shared_space(cutoff, 1)
     if vec is None:
         pair = np.zeros(cutoff), np.eye(cutoff)
@@ -707,9 +703,12 @@ def _eigenbasis(cutoff: int, vec: tuple[float, ...] | None):
     return pair
 
 
-def _mode_eigenbases(one: FockSpace, channel: Rank1Channel):
+def _mode_eigenbases(cutoff: int, channel: Rank1Channel):
     """A channel's eigen-decompositions ``(values, basis)`` on mode A and mode B."""
-    pair = tuple(_quadrature_eigenbasis(one, v) for v in (channel.vec, channel.feed_vec))
+    pair = tuple(
+        _eigenbasis(cutoff, None if v is None else tuple(v.tolist()))
+        for v in (channel.vec, channel.feed_vec)
+    )
     return pair if channel.side == "A" else pair[::-1]
 
 
@@ -767,22 +766,7 @@ def _on_axes(pairs: np.ndarray, row: int, col: int) -> np.ndarray:
     return pairs.reshape(shape)
 
 
-def _channel_phases(channel: Rank1Channel, m: np.ndarray, f: np.ndarray, dt: float):
-    """One channel's unit phase factors over three axes of ``(a, b, a', b')``:
-    ``exp(-i dt kappa (m - m') (m + m') / 2) P(m, f) P(m', f)`` and
-    ``P(m, f')^* P(m', f')^*``, ``P(m, f) = exp(-i dt lam m f / 2)``."""
-    measured, fed = (0, 1) if channel.side == "A" else (1, 0)
-    own = np.subtract.outer(m, m) * np.add.outer(m, m)
-    own = np.exp(-0.5j * dt * channel.kappa * own)
-    phase = np.exp(-0.5j * dt * channel.lam * np.multiply.outer(m, f))
-    rows = _on_axes(own, measured, measured + 2) * _on_axes(phase, measured, fed)
-    rows *= _on_axes(phase, measured + 2, fed)
-    cols = _on_axes(phase.conj(), measured, fed + 2)
-    cols = cols * _on_axes(phase.conj(), measured + 2, fed + 2)
-    return rows, cols
-
-
-def _group_factors(one: FockSpace, channels, dt: float, scratch: np.ndarray):
+def _group_factors(cutoff: int, channels, dt: float, scratch: np.ndarray):
     """Record-averaged multiplier of channels sharing their one-mode eigenbases.
 
     Each channel's multiplier (:func:`kraus_average_step`) is diagonal in
@@ -799,24 +783,23 @@ def _group_factors(one: FockSpace, channels, dt: float, scratch: np.ndarray):
 
     ``Phi`` sums ``-dt (m + m') phi / 2 = theta(a, b) - theta(a', b') +
     chi``, with ``theta = -dt (kappa m^2 + lam m f) / 2`` and the cross term
-    ``chi = -dt lam (m' f - m f') / 2``.  Where the cross terms cancel
-    exactly, as for the mirrored pair of ``build_rank1_protocol`` (equal
-    ``lam``), ``e^{i Phi} = u(a, b) u(a', b')^*`` with ``u = exp(i sum
-    theta)``, a ``c^2`` phase on the rows and its conjugate on the columns;
-    otherwise each channel keeps its own (:func:`_channel_phases`).
+    ``chi = -dt lam (m' f - m f') / 2``.  So ``e^{i Phi} = u(a, b) u(a',
+    b')^* e^{i chi}`` with ``u = exp(i sum theta)``, a ``c^2`` phase on the
+    rows and its conjugate on the columns, and ``e^{i chi} = w(a', b)^*
+    w(a, b')`` with ``w = exp(i dt cross / 2)`` over the summed cross terms.
+    Where those cancel exactly, as for the mirrored pair of
+    ``build_rank1_protocol`` (equal ``lam``), the ``w`` factors are left out.
     """
-    c = one.cutoff
+    c = cutoff
     real, work = scratch
     decay = np.zeros((2, c, c))  # dt gamma (m - m')^2 / 2 over (a, a') and (b, b')
     angle = np.zeros((c, c))  # sum theta over (a, b)
     # sum of +-lam x (x) y, + for side A: chi = -dt (cross(a', b) - cross(a, b')) / 2
     cross = np.zeros((c, c))
-    values = []
     for i, channel in enumerate(channels):
-        (x, _), (y, _) = _mode_eigenbases(one, channel)
+        (x, _), (y, _) = _mode_eigenbases(c, channel)
         measured, fed = (0, 1) if channel.side == "A" else (1, 0)
         m, f = (x, y) if measured == 0 else (y, x)
-        values.append((channel, m, f))
         delta = np.subtract.outer(m, m)
         scale = math.sqrt(dt / (8.0 * channel.gamma))
         spread = scale * channel.lam * np.subtract.outer(f, f)
@@ -838,10 +821,12 @@ def _group_factors(one: FockSpace, channels, dt: float, scratch: np.ndarray):
     np.add(_on_axes(-decay[0], 0, 2), _on_axes(-decay[1], 1, 3), out=work)
     np.subtract(work, real, out=real)
     np.exp(real, out=real)
+    u = np.exp(1j * angle)
+    factors = real, u.reshape(c, c, 1, 1), u.conj().reshape(1, 1, c, c)
     if not cross.any():
-        u = np.exp(1j * angle)
-        return real, u.reshape(c, c, 1, 1), u.conj().reshape(1, 1, c, c)
-    return (real, *(p for value in values for p in _channel_phases(*value, dt)))
+        return factors
+    w = np.exp(0.5j * dt * cross)
+    return (*factors, _on_axes(w.conj(), 2, 1), _on_axes(w, 0, 3))
 
 
 def _channel_chain(space: FockSpace, rho: np.ndarray, channels, dt: float, u_a, u_b):
@@ -861,10 +846,9 @@ def _channel_chain(space: FockSpace, rho: np.ndarray, channels, dt: float, u_a, 
     hermitized and, if there are channels, renormalized in place.
     """
     c = space.cutoff
-    one = _shared_space(c, 1)
     groups = []  # (bases on modes A and B, channels)
     for channel in channels:
-        bases = tuple(basis for _, basis in _mode_eigenbases(one, channel))
+        bases = tuple(basis for _, basis in _mode_eigenbases(c, channel))
         if groups and all(map(np.array_equal, groups[-1][0], bases)):
             groups[-1][1].append(channel)
         else:
@@ -877,7 +861,7 @@ def _channel_chain(space: FockSpace, rho: np.ndarray, channels, dt: float, u_a, 
         out, spare = _conjugate(out, *change, spare), out
         view = out.reshape(c, c, c, c)
         scratch = spare.view(np.float64).reshape(2, c, c, c, c)
-        for factor in _group_factors(one, members, dt, scratch):
+        for factor in _group_factors(c, members, dt, scratch):
             view *= factor
         current = bases
     out, spare = _conjugate(out, u_a @ current[0], u_b @ current[1], spare), out

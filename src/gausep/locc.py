@@ -125,7 +125,6 @@ class GammaSolution:
     lam: float
     kappa_a: float = 0.0
     kappa_b: float = 0.0
-    branch: str = "plus"
 
 
 def solve_symmetric(
@@ -152,7 +151,7 @@ def solve_symmetric(
     gamma_b = 0.5 * s_b * (1.0 + sign * root)
     if gamma_a <= 0 or gamma_b <= 0:
         raise InfeasibleProtocolError("selected branch degenerates at this margin")
-    return GammaSolution(gamma_a=gamma_a, gamma_b=gamma_b, lam=float(k), branch=branch)
+    return GammaSolution(gamma_a=gamma_a, gamma_b=gamma_b, lam=float(k))
 
 
 def solve_correlated(
@@ -182,7 +181,6 @@ def solve_correlated(
         lam=float(k),
         kappa_a=2.0 * gamma_a * s_ab / k,
         kappa_b=2.0 * gamma_b * s_ab / k,
-        branch=branch,
     )
 
 

@@ -233,7 +233,6 @@ class CertificateFailure:
     margin: float
     failed_block: np.ndarray
     min_block_eig: float
-    note: str
     ok: bool = field(default=False, init=False)
 
 
@@ -323,7 +322,6 @@ def certificate_first_order(
             margin=float(margin),
             failed_block=blocks[worst],
             min_block_eig=min_eigs[worst],
-            note="noise does not dominate the coupling; balancing term not PSD",
         )
 
     dv_a = _delta_v(terms.p_a, d_a, mode_form(lo.n_a))

@@ -407,6 +407,65 @@ def test_sweep_rerun_is_byte_identical(tmp_path):
     assert first.read_bytes() == second.read_bytes()
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_sweep_jobs_below_one_exits_one_before_any_output(tmp_path, capsys, jobs):
+    cfg = str(CONFIGS / "sweep_onset.json")
+    out = tmp_path / "onset.csv"
+    with pytest.raises(SystemExit) as exit_info:
+        main(["sweep", "--config", cfg, "--out", str(out), f"--jobs={jobs}"])
+    assert exit_info.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--jobs" in captured.err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("cores, expected", [(64, 7), (3, 3)])
+def test_sweep_pool_has_no_more_workers_than_points_or_cores(
+    tmp_path, monkeypatch, cores, expected
+):
+    """A stand-in pool records its size and runs the points in this process."""
+    import concurrent.futures
+
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+        def shutdown(self):
+            pass
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cores)
+    payload = {
+        "model": json.loads(json.dumps(FREE_MASS)),
+        "sweep": {
+            "axes": [{"path": "coupling.strength", "min": 0.5, "max": 2.5, "points": 7}],
+            "outputs": ["margin"],
+        },
+    }
+    cfg = write_config(tmp_path, payload)
+    serial, pooled = tmp_path / "serial.csv", tmp_path / "pooled.csv"
+    assert main(["sweep", "--config", cfg, "--out", str(serial)]) == 0
+    assert sizes == []
+    argv = ["sweep", "--config", cfg, "--out", str(pooled), "--jobs", "1000000"]
+    assert main(argv) == 0
+    assert sizes == [expected]
+    assert pooled.read_bytes() == serial.read_bytes()
+
+
+def test_sweep_with_two_worker_processes_matches_the_serial_run(tmp_path):
+    cfg = str(CONFIGS / "sweep_onset.json")
+    serial, pooled = tmp_path / "serial.csv", tmp_path / "pooled.csv"
+    assert main(["sweep", "--config", cfg, "--out", str(serial), "--jobs", "1"]) == 0
+    assert main(["sweep", "--config", cfg, "--out", str(pooled), "--jobs", "2"]) == 0
+    assert pooled.read_bytes() == serial.read_bytes()
+
+
 def test_sweep_resumes_from_the_row_checkpoint(tmp_path):
     payload = {
         "model": json.loads(json.dumps(FREE_MASS)),
@@ -944,6 +1003,17 @@ def test_cold_start_and_gaussian_commands_load_no_scipy(tmp_path, argv):
     assert not {m for m in modules if m.split(".")[0] in ("scipy", "jsonschema")}
     forbidden = {"gausep.fock", "gausep.gravity", "multiprocessing", "concurrent.futures.process"}
     assert not forbidden & modules
+
+
+def test_gravity_front_end_loads_no_scipy():
+    """The laboratory verdicts come from ``separability``, on numpy alone."""
+    code = "import json, sys, gausep.gravity\nprint(json.dumps(sorted(sys.modules)))"
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    )
+    modules = set(json.loads(result.stdout))
+    assert "gausep.separability" in modules
+    assert not {m for m in modules if m.split(".")[0] == "scipy"}
 
 
 def test_oracle_loads_the_sparse_kernels_but_not_scipy_linalg():

@@ -332,9 +332,8 @@ def test_protocol_step_changes_basis_once_per_distinct_basis_plus_once(monkeypat
 
 def direct_exponent(channel, cutoff, dt):
     """A multiplier's complex exponent, entry by entry on ``(a, b, a', b')``."""
-    one = FockSpace(cutoff, modes=1)
-    m_vals, _ = fock._quadrature_eigenbasis(one, channel.vec)
-    f_vals, _ = fock._quadrature_eigenbasis(one, channel.feed_vec)
+    m_vals, _ = fock._eigenbasis(cutoff, tuple(channel.vec))
+    f_vals, _ = fock._eigenbasis(cutoff, tuple(channel.feed_vec))
     measured, fed = (0, 1) if channel.side == "A" else (1, 0)
     idx = np.indices((cutoff,) * 4)
     m, m2 = m_vals[idx[measured]], m_vals[idx[measured + 2]]
@@ -377,7 +376,7 @@ def test_multiplier_factors_match_the_complex_exponent_at_a_long_step(side):
             Rank1Channel(side="B", gamma=0.8, vec=feed, lam=2.5, feed_vec=measure, kappa=-1.5),
         )
     scratch = np.empty((2,) + (c,) * 4)
-    factors = fock._group_factors(FockSpace(c, modes=1), channels, dt, scratch)
+    factors = fock._group_factors(c, channels, dt, scratch)
     w = np.ones((c,) * 4, dtype=complex)
     for factor in factors:
         w *= factor
@@ -413,10 +412,9 @@ def test_real_and_complex_basis_changes_agree():
 
 
 def test_position_eigenbases_are_real():
-    one = FockSpace(8, modes=1)
-    for vec in (np.array([1.0, 0.0]), np.array([-0.5, 0.0]), None):
-        assert not np.iscomplexobj(fock._quadrature_eigenbasis(one, vec)[1])
-    assert np.iscomplexobj(fock._quadrature_eigenbasis(one, np.array([0.6, 0.8]))[1])
+    for vec in ((1.0, 0.0), (-0.5, 0.0), None):
+        assert not np.iscomplexobj(fock._eigenbasis(8, vec)[1])
+    assert np.iscomplexobj(fock._eigenbasis(8, (0.6, 0.8))[1])
 
 
 def wide_channel(part):

@@ -1,5 +1,7 @@
 """Tests for laboratory-scale scenarios and their dimensionless models."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,6 @@ from gausep.gravity import (
     GRAVITATIONAL_CONSTANT,
     REDUCED_PLANCK,
     MediatorScenario,
-    SphereMediatorScenario,
     TwoMassScenario,
     coupling_constant,
     mediator_threshold,
@@ -75,7 +76,7 @@ def test_mediator_reduces_to_two_mass_for_equal_setup():
 
 def test_sphere_mediator_closed_form_rate():
     """Sphere at its own radius: rate is (4 pi hbar G rho / 3) sqrt(M_A/M_C)."""
-    scenario = SphereMediatorScenario(
+    scenario = MediatorScenario.sphere(
         mass_probe_kg=1e-3,
         mass_mediator_kg=10.0,
         density_mediator_kg_m3=11340.0,
@@ -101,8 +102,10 @@ def test_direct_coupling_inflates_the_gravity_rate():
         mass_b_kg=4.0,
         separation_ab_m=0.2,
     )
-    plain = mediator_threshold(base)
-    both = mediator_threshold(base, include_ab_coupling=True)
+    plain = mediator_threshold(
+        dataclasses.replace(base, mass_b_kg=None, separation_ab_m=None)
+    )
+    both = mediator_threshold(base)
     alpha = (4.0 / 2.0) * (0.1 / 0.2) ** 3
     np.testing.assert_allclose(
         both.gravity_rate_J_per_s / plain.gravity_rate_J_per_s,
@@ -148,10 +151,12 @@ def test_to_model_with_direct_coupling_widens_side_b():
         mass_b_kg=4.0,
         separation_ab_m=0.2,
     )
-    model, _ = to_model(scenario, 1.0, include_ab_coupling=True)
+    model, _ = to_model(scenario, 1.0)
     assert (model.layout.n_a, model.layout.n_b) == (1, 2)
     alpha = (4.0 / 2.0) * (0.1 / 0.2) ** 3
-    np.testing.assert_allclose(model.coupling.vec_b, [1.0, 0.0, alpha, 0.0])
+    np.testing.assert_allclose(
+        model.coupling.vec_b, np.array([1.0, 0.0, alpha, 0.0]) / np.sqrt(1.0 + alpha**2)
+    )
 
 
 def test_scenario_validation():
@@ -166,7 +171,45 @@ def test_scenario_validation_rejects_nan_infinite_and_zero(bad):
     with pytest.raises(ValueError, match="temperature_K"):
         TwoMassScenario(1.0, 1.0, 0.1, 1e-9, 1e-9, bad)
     with pytest.raises(ValueError, match="density_mediator_kg_m3"):
-        SphereMediatorScenario(1e-3, 10.0, bad, 1e-8, 1e-8, 1e-3)
+        MediatorScenario.sphere(1e-3, 10.0, bad, 1e-8, 1e-8, 1e-3)
     # the optional direct-coupling fields are checked once they are set
     with pytest.raises(ValueError, match="separation_ab_m"):
         MediatorScenario(1.0, 2.0, 0.1, 1e-9, 1e-9, 1e-3, mass_b_kg=4.0, separation_ab_m=bad)
+
+
+# A band of +-2e-10 in the thermal-to-gravity rate ratio around the two-mass
+# threshold, where an exact rate comparison and the model's relative-tolerance
+# threshold used to part; the model's verdict at any frequency is the lab's.
+TWO_MASS_RATIOS = [
+    *(1.0 + np.linspace(-2e-10, 2e-10, 81)), 1.0 + 1e-12, 1.0 - 1e-12, 1.0 - 3e-11
+]
+
+
+@pytest.mark.parametrize("omega", [1e-2, 1.0, 1e3])
+@pytest.mark.parametrize("ratio", TWO_MASS_RATIOS)
+def test_two_mass_verdict_is_the_model_threshold_near_the_bound(ratio, omega):
+    mass, separation, temperature = 0.1, 0.01, 1e-3
+    gravity = REDUCED_PLANCK * coupling_constant(mass, mass, separation) / (2.0 * mass)
+    gamma = ratio * gravity / (BOLTZMANN * temperature)
+    scenario = TwoMassScenario(mass, mass, separation, gamma, gamma, temperature)
+    model, _ = to_model(scenario, omega)
+    assert two_mass_threshold(scenario).satisfied == threshold(model).satisfied
+
+
+@pytest.mark.parametrize("omega", [1e-2, 1.0, 1e3])
+@pytest.mark.parametrize("temperature", np.linspace(7.0e-10, 7.6e-10, 61))
+def test_mediator_verdict_with_a_mass_b_is_the_model_threshold(temperature, omega):
+    """The band straddles the bound with the direct A-B coupling folded in."""
+    scenario = MediatorScenario(
+        1.0, 2.0, 0.1, 1e-9, 1e-9, temperature, mass_b_kg=4.0, separation_ab_m=0.2
+    )
+    model, _ = to_model(scenario, omega)
+    assert model.layout.n_b == 2
+    assert mediator_threshold(scenario).satisfied == threshold(model).satisfied
+
+
+def test_two_mass_verdict_below_the_resolved_rate_ratio_is_refused():
+    """A thermal rate ~1e-170 of the gravity rate underflows the model's margin."""
+    scenario = TwoMassScenario(0.1, 0.1, 0.01, 1e-170, 1e-170, 1e-3)
+    with pytest.raises(ValueError, match="unresolved"):
+        two_mass_threshold(scenario)
