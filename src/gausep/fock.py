@@ -44,9 +44,10 @@ path with the Gaussian one.
   basis change;
 * :func:`log_negativity_dense` evaluates entanglement from the partial
   transpose of the dense state, which keeps the grade of every entry, so
-  for a grade-0 state it diagonalizes the even and odd blocks apart; a
-  value within ``NEGATIVITY_ROUNDOFF_ULPS d eps`` of zero is roundoff of a
-  PPT state and is returned as exactly 0.
+  for a grade-0 state it diagonalizes the even and odd blocks apart,
+  gathered from the state and cut to their leading (lowest) shells; a value
+  within ``NEGATIVITY_ROUNDOFF_ULPS d eps`` of zero is roundoff of a PPT
+  state and is returned as exactly 0.
 
 The truncation is the only systematic error source, so cutoffs should be
 chosen with the leakage report rather than by eye.
@@ -168,6 +169,14 @@ class FockSpace:
             g: tuple(idx[j][:, None] * self.dim + idx[j ^ g] for j in (0, 1))
             for g in (0, 1)
         }
+
+    @functools.cached_property
+    def _pt_blocks(self) -> tuple[np.ndarray, np.ndarray]:
+        """Flat indices into ``rho`` of its partial transpose's sector blocks."""
+        c, d = self.cutoff, self.dim
+        # row (a, b') and column (a', b) of the transpose read rho_{(a,b),(a',b')}
+        pairs = (np.divmod(idx, c) for idx in self.sectors)
+        return tuple((a[:, None] * c + b) * d + a * c + b[:, None] for a, b in pairs)
 
     def vacuum(self) -> np.ndarray:
         rho = np.zeros((self.dim, self.dim), dtype=complex)
@@ -932,19 +941,26 @@ def log_negativity_dense(space: FockSpace, rho: np.ndarray) -> float:
 
     The partial transpose moves ``rho_{(a,b),(a',b')}`` to ``(a,b'),(a',b)``,
     which keeps ``a + b + a' + b'`` and so the grade of every entry.  When
-    no entry across the even and odd states is nonzero (exactly), the
-    transpose is block-diagonal on them too and its spectrum is that of the
-    two blocks, a quarter of the work of one ``d x d`` ``eigvalsh``.
+    no entry of ``rho`` across the even and odd states is nonzero (exactly),
+    the spectrum is that of the transpose's sector blocks ``M``, gathered
+    from ``rho``, each cut to its leading (lowest-shell) ``n x n`` part, ``n``
+    the least size where twice the row sums of ``|M|`` from row ``n`` on (a
+    bound on the cut-off entrywise mass, ``M`` being Hermitian) are at most
+    ``eps |tr rho| / 2``.  The trace norm is at most the entrywise 1-norm, so
+    the sum of ``|lambda|`` moves by at most ``eps |tr rho|``: roundoff.
     """
-    if space.modes != 2:
-        raise ValueError("negativity needs the two-mode space")
-    c = space.cutoff
-    pt = rho.reshape(c, c, c, c).transpose(0, 3, 2, 1).reshape(c * c, c * c)
-    blocks = _split_sectors(space, pt)
-    if any(block.any() for block in blocks[1]):
-        parts = [pt]
+    if space.modes != 2 or np.shape(rho) != (space.dim, space.dim):
+        raise ValueError("negativity needs the two-mode space and a state on it")
+    if any(np.take(rho, i).any() for i in space._block_indices[1]):
+        parts = [rho.reshape((space.cutoff,) * 4).transpose(0, 3, 2, 1).reshape(rho.shape)]
     else:
-        parts = blocks[0]
+        budget = 0.5 * np.finfo(float).eps * abs(np.trace(rho))
+        parts = []
+        for indices in space._pt_blocks:
+            block = np.take(rho, indices)
+            tail = 2.0 * np.cumsum(np.abs(block).sum(axis=1)[::-1])[::-1]
+            n = np.count_nonzero(~(tail <= budget))  # a NaN keeps its rows
+            parts.append(block[:n, :n])
     value = float(np.log2(sum(np.abs(np.linalg.eigvalsh(p)).sum() for p in parts)))
     band = NEGATIVITY_ROUNDOFF_ULPS * space.dim * np.finfo(float).eps
     return 0.0 if abs(value) <= band else value

@@ -153,12 +153,16 @@ def _rates(scenario: TwoMassScenario | MediatorScenario) -> GravityVerdict:
     The model is taken at ``omega = sqrt(K / sqrt(m_a m_b))``, where the
     dimensionless coupling is 1, so its margin ``s_a s_b - 1`` is resolved
     unless the thermal rate is below ~1e-154 of the gravity rate; there the
-    threshold refuses it as unresolved.
+    threshold refuses it as unresolved.  Rates outside double range are refused.
     """
     m_a, m_b, gamma_a, gamma_b, k_g, _ = _sides(scenario)
-    gravity = REDUCED_PLANCK * k_g / (2.0 * np.sqrt(m_a * m_b))
-    thermal = np.sqrt(gamma_a * gamma_b) * BOLTZMANN * scenario.temperature_K
-    model, _ = to_model(scenario, np.sqrt(k_g / np.sqrt(m_a * m_b)))
+    with np.errstate(all="ignore"):  # an overflow is refused below, by name
+        gravity = REDUCED_PLANCK * k_g / (2.0 * np.sqrt(m_a * m_b))
+        thermal = np.sqrt(gamma_a * gamma_b) * BOLTZMANN * scenario.temperature_K
+        omega = np.sqrt(k_g / np.sqrt(m_a * m_b))
+    if not (0.0 < omega < np.inf and np.isfinite(thermal)):  # then gravity is finite
+        raise ValueError(f"rates out of double range: gravity {gravity}, thermal {thermal}")
+    model, _ = to_model(scenario, omega)
     return GravityVerdict(
         satisfied=threshold(model).satisfied,
         margin_J_per_s=float(thermal - gravity),

@@ -31,3 +31,23 @@ def test_one_pass_of_each_workload_fails_no_item(monkeypatch, tmp_path, name, n_
     result = getattr(workloads, name)(2201, tmp_path).run_pass()
     assert result.failures == {}
     assert result.n_items == n_items
+
+
+def test_one_dense_evolve_pass_makes_a_fixed_number_of_oracle_calls(monkeypatch, tmp_path):
+    """Two models at two cutoffs, five chunks each: every chunk takes ten
+    right-hand sides and one log-negativity, for every seed."""
+    from gausep import fock
+
+    counts = {"lindblad_rhs": 0, "log_negativity_dense": 0}
+    for name in counts:
+        original = getattr(fock, name)
+
+        def spy(*args, _original=original, _name=name, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(fock, name, spy)
+    workloads = load_workloads(monkeypatch)
+    result = workloads.DenseEvolve(2201, tmp_path).run_pass()
+    assert result.failures == {}
+    assert counts == {"lindblad_rhs": 200, "log_negativity_dense": 20}

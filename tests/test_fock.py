@@ -1,5 +1,6 @@
 """Tests for the dense truncated-space oracle."""
 
+import contextlib
 import dataclasses
 import math
 
@@ -892,10 +893,13 @@ def test_a_vacuum_chunk_evolves_grade_zero_alone(monkeypatch):
     assert grades == {0, 1}
 
 
-def full_log_negativity(space, rho):
+def partial_transpose(space, rho):
     c = space.cutoff
-    pt = rho.reshape(c, c, c, c).transpose(0, 3, 2, 1).reshape(c * c, c * c)
-    return float(np.log2(np.abs(np.linalg.eigvalsh(pt)).sum()))
+    return rho.reshape(c, c, c, c).transpose(0, 3, 2, 1).reshape(c * c, c * c)
+
+
+def full_log_negativity(space, rho):
+    return float(np.log2(np.abs(np.linalg.eigvalsh(partial_transpose(space, rho))).sum()))
 
 
 def negativity_and_eigvalsh_sizes(monkeypatch, space, rho):
@@ -924,13 +928,83 @@ def test_block_negativity_matches_the_full_spectrum(monkeypatch):
     squeezed = expm(0.3 * (ab - ab.T)) @ space.vacuum() @ expm(0.3 * (ab.T - ab))
     for rho in (evolved, squeezed, space.vacuum()):
         value, sizes = negativity_and_eigvalsh_sizes(monkeypatch, space, rho)
-        assert sizes == [len(s) for s in space.sectors]
+        assert len(sizes) == 2
+        assert all(n <= len(s) for n, s in zip(sizes, space.sectors))
         assert abs(value - full_log_negativity(space, rho)) <= 1e-14
     assert log_negativity_dense(space, squeezed) > 0.5
     mixed = random_state(space.dim, 6)
     value, sizes = negativity_and_eigvalsh_sizes(monkeypatch, space, mixed)
     assert sizes == [space.dim]
     assert value == full_log_negativity(space, mixed)
+
+
+def assert_leading_blocks_are_exact(monkeypatch, space, rho):
+    """The value is the full spectrum's within 1e-14, and the entries left
+    outside the leading blocks weigh at most ``eps |tr rho|`` together.
+    Returns the sizes of the blocks diagonalized."""
+    value, sizes = negativity_and_eigvalsh_sizes(monkeypatch, space, rho)
+    assert abs(value - full_log_negativity(space, rho)) <= 1e-14
+    pt = partial_transpose(space, rho)
+    blocks = [pt[np.ix_(s, s)] for s in space.sectors]
+    assert len(sizes) == len(blocks)
+    beta = np.finfo(float).eps * abs(np.trace(rho))
+    for m, n in zip(blocks, sizes):
+        outside = np.ones(m.shape, dtype=bool)
+        outside[:n, :n] = False
+        assert np.abs(m[outside]).sum() <= beta / 2
+    return sizes
+
+
+def two_mode_squeezed(space, r):
+    """``sum_n tanh(r)^n |n, n>``, cut at the cutoff and normalized."""
+    c = space.cutoff
+    psi = np.zeros(space.dim)
+    psi[np.arange(c) * (c + 1)] = np.tanh(r) ** np.arange(c)
+    psi /= np.linalg.norm(psi)
+    return np.outer(psi, psi).astype(complex)
+
+
+@pytest.mark.parametrize("cutoff", [8, 10, 12, 14, 16])
+def test_evolved_vacuum_negativity_from_leading_blocks(monkeypatch, cutoff):
+    model = rank1_model(0.9, 0.8, 0.85, h_a=0.5 * np.eye(2), h_b=0.5 * np.eye(2))
+    fgen = fock_generator_from_model(model, cutoff)
+    space = fgen.space
+    rho = space.vacuum()
+    for _ in range(5):
+        rho = lindblad_integrate(fgen, rho, 0.01)
+        sizes = assert_leading_blocks_are_exact(monkeypatch, space, rho)
+    assert log_negativity_dense(space, rho) > 0
+    if cutoff == 16:
+        assert all(n < len(s) for n, s in zip(sizes, space.sectors))
+
+
+def test_squeezed_number_and_random_states_negativity_from_leading_blocks(monkeypatch):
+    """Grade-mixed states take the full transpose, as the test above checks."""
+    space = FockSpace(16)
+    for r in (0.1, 0.4, 0.8, 1.2):
+        rho = two_mode_squeezed(space, r)
+        assert_leading_blocks_are_exact(monkeypatch, space, rho)
+        assert log_negativity_dense(space, rho) > 0.1
+    # weight on the last shell of a sector: nothing is trimmed
+    top = fock_number_state(space, 15, 15)
+    assert assert_leading_blocks_are_exact(monkeypatch, space, top)[0] == len(space.sectors[0])
+    both = 0.5 * (top + fock_number_state(space, 15, 14))
+    sizes = assert_leading_blocks_are_exact(monkeypatch, space, both)
+    assert sizes == [len(s) for s in space.sectors]
+    for seed in range(4):
+        grade_zero = random_state(space.dim, seed)
+        for i in space._block_indices[1]:
+            np.put(grade_zero, i, 0.0)
+        assert_leading_blocks_are_exact(monkeypatch, space, grade_zero)
+    # a NaN is diagonalized, not cut off as negligible
+    poisoned = top.copy()
+    poisoned[2 * space.cutoff + 2, 2 * space.cutoff + 2] = np.nan  # |2, 2>
+    sizes, eigvalsh = [], np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: sizes.append(len(a)) or eigvalsh(a))
+    with contextlib.suppress(np.linalg.LinAlgError):
+        log_negativity_dense(space, poisoned)
+    monkeypatch.undo()
+    assert sizes[0] == len(space.sectors[0])
 
 
 def test_lab_scale_indefinite_noise_form_is_refused():

@@ -1,6 +1,7 @@
 """Tests for laboratory-scale scenarios and their dimensionless models."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -213,3 +214,29 @@ def test_two_mass_verdict_below_the_resolved_rate_ratio_is_refused():
     scenario = TwoMassScenario(0.1, 0.1, 0.01, 1e-170, 1e-170, 1e-3)
     with pytest.raises(ValueError, match="unresolved"):
         two_mass_threshold(scenario)
+
+
+@pytest.mark.parametrize(
+    "scenario",
+    [
+        TwoMassScenario(1e200, 1e200, 1e-50, 1.0, 1.0, 1.0),  # the gravity rate
+        TwoMassScenario(1e-200, 1e-200, 1e50, 1.0, 1.0, 1.0),  # m_a m_b underflows
+        TwoMassScenario(1.0, 1.0, 1e-2, 1e300, 1e300, 1e10),  # the thermal rate
+    ],
+)
+def test_rates_out_of_double_range_are_refused_by_name_without_a_warning(scenario):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="out of double range") as refused:
+            two_mass_threshold(scenario)
+    assert "omega_per_s" not in str(refused.value)
+
+
+def test_a_normal_scenario_keeps_its_verdict_and_rates_without_a_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        hot = two_mass_threshold(TwoMassScenario(0.1, 0.1, 0.01, 1e-9, 1e-9, 1e-3))
+        cold = two_mass_threshold(TwoMassScenario(0.1, 0.1, 0.01, 1e-9, 1e-9, 1e-12))
+    assert hot.satisfied and not cold.satisfied
+    assert hot.gravity_rate_J_per_s == cold.gravity_rate_J_per_s == 7.038528678203099e-40
+    assert hot.thermal_rate_J_per_s == 1.3806490000000003e-35
