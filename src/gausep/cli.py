@@ -41,7 +41,7 @@ from .separability import (
     stringent_ns_check,
     threshold,
 )
-from .symplectic import CovarianceMatrix, is_physical
+from .symplectic import CovarianceMatrix, ModeLayout, is_physical
 
 _LOG = logging.getLogger("gausep")
 
@@ -190,7 +190,10 @@ def cmd_evolve(args) -> int:
             t_i = args.t * i / args.steps
             if i:
                 v = CovarianceMatrix(step.apply(v.matrix), model.layout)
-            ppt = ppt_multimode(v)
+            try:
+                ppt = ppt_multimode(v)
+            except ValueError as exc:  # an unresolved spectrum: name its row
+                raise ValueError(f"at t = {t_i:g}: {exc}") from None
             writer.writerow(
                 [
                     format_value(t_i),
@@ -275,6 +278,8 @@ def cmd_locc_verify(args) -> int:
     branch = config.choice("branch", ("plus", "minus"), "plus")
     fgen = None
     if args.oracle:
+        if model.layout != ModeLayout(1, 1):
+            raise ConfigError("the oracle's dense Kraus step supports one mode per side")
         # the dense oracle, and scipy with it, loads only when asked for
         from .fock import _taylor_schedule, fock_generator_from_model
         from .fock import lindblad_integrate, protocol_kraus_step

@@ -3,7 +3,9 @@
 Everything else in this package works with first and second moments; this
 module rebuilds the same dynamics as operators on a truncated Fock space so
 results can be cross-checked against an implementation that shares no code
-path with the Gaussian one.
+path with the Gaussian one.  The space (:class:`FockSpace`) is the product
+grid of a model's own :class:`ModeLayout` at one cutoff, side A's modes
+first, at most ``MAX_DIM`` states; only the Kraus step needs one mode a side.
 
 * :func:`build_fock_generator` turns the quadratic Hamiltonian and noise
   forms into the sparse parity blocks of the master equation: the
@@ -71,9 +73,9 @@ LEAKAGE_LIMIT = 1e-6
 TAYLOR_TOL = 2.0**-54
 # about ten seconds of right-hand sides at cutoff 12, minutes at cutoff 24
 MAX_TAYLOR_PRODUCTS = 10_000
-# a two-mode density matrix at cutoff 32 is 32^4 complex entries (16 MB); the
-# cap refuses a cutoff before any operator of that size is allocated
-MAX_CUTOFF = 32
+# a density matrix of dimension 1024 (cutoff 32 on two modes) is 1024^2 complex
+# entries (16 MB); the cap refuses a space before any operator is allocated
+MAX_DIM = 1024
 # |log2 ||rho^T||_1| up to this many d eps (d the space dimension) is the
 # roundoff of eigvalsh on a PPT state, and the log-negativity is reported as 0
 NEGATIVITY_ROUNDOFF_ULPS = 4
@@ -81,20 +83,22 @@ NEGATIVITY_ROUNDOFF_ULPS = 4
 
 @dataclass(frozen=True, eq=False)
 class FockSpace:
-    """Truncated oscillator space: one or two modes at a common cutoff."""
+    """Truncated oscillator space: the product grid of a layout's modes at a
+    common cutoff, side A's modes first, each mode's levels in Fock order."""
 
     cutoff: int
-    modes: int = 2
+    layout: ModeLayout = ModeLayout(1, 1)
 
     def __post_init__(self):
-        if not 2 <= self.cutoff <= MAX_CUTOFF:
-            raise ValueError(f"cutoff must be from 2 to {MAX_CUTOFF}, got {self.cutoff}")
-        if self.modes not in (1, 2):
-            raise ValueError("only one- and two-mode spaces are supported")
+        n = self.layout.n_modes
+        largest = round(MAX_DIM ** (1 / n))
+        largest -= largest**n > MAX_DIM  # the root was rounded up
+        if not 2 <= self.cutoff <= largest:
+            raise ValueError(f"cutoff must be from 2 to {largest} on {n} modes, got {self.cutoff}")
 
     @property
     def dim(self) -> int:
-        return self.cutoff**self.modes
+        return self.cutoff**self.layout.n_modes
 
     def destroy(self) -> np.ndarray:
         return np.diag(np.sqrt(np.arange(1, self.cutoff)), 1)
@@ -107,19 +111,16 @@ class FockSpace:
         a = self.destroy()
         return 1j * (a.T - a) / np.sqrt(2.0)
 
-    def quadratures(self) -> tuple[sp.csr_array, ...]:
-        """Sparse (x_a, p_a[, x_b, p_b]) in the interleaved ordering, built once."""
-        return self._quadratures
-
     @functools.cached_property
     def _quadratures(self) -> tuple[sp.csr_array, ...]:
-        x = sp.csr_array(self.position().astype(complex))
-        p = sp.csr_array(self.momentum())
-        if self.modes == 1:
-            return x, p
-        eye = sp.csr_array(np.eye(self.cutoff, dtype=complex))
-        pairs = ((x, eye), (p, eye), (eye, x), (eye, p))
-        return tuple(sp.kron(left, right, format="csr") for left, right in pairs)
+        """Sparse ``(x_1, p_1, ..., x_n, p_n)``, each ``I (x) q (x) I`` on its mode."""
+        c, n = self.cutoff, self.layout.n_modes
+        ops = sp.csr_array(self.position().astype(complex)), sp.csr_array(self.momentum())
+        eyes = [sp.identity(c**k, complex, "csr") for k in range(n)]
+        return tuple(
+            sp.kron(sp.kron(eyes[m], op), eyes[n - 1 - m], format="csr")
+            for m in range(n) for op in ops
+        )
 
     @functools.cached_property
     def _linear(self) -> "_SharedPattern":
@@ -137,11 +138,11 @@ class FockSpace:
     @property
     def top(self) -> int:
         """The largest total number, the top shell."""
-        return self.modes * (self.cutoff - 1)
+        return self.layout.n_modes * (self.cutoff - 1)
 
     @functools.cached_property
     def _totals(self) -> np.ndarray:
-        return np.indices((self.cutoff,) * self.modes).sum(axis=0).ravel()
+        return np.indices((self.cutoff,) * self.layout.n_modes).sum(axis=0).ravel()
 
     @functools.cached_property
     def sectors(self) -> tuple[np.ndarray, np.ndarray]:
@@ -172,11 +173,12 @@ class FockSpace:
 
     @functools.cached_property
     def _pt_blocks(self) -> tuple[np.ndarray, np.ndarray]:
-        """Flat indices into ``rho`` of its partial transpose's sector blocks."""
-        c, d = self.cutoff, self.dim
+        """Flat indices into ``rho`` of its partial transpose's sector blocks;
+        state ``a w + b`` is ``a`` on side A's grid, ``b < w = cutoff^n_b`` on B's."""
+        w, d = self.cutoff**self.layout.n_b, self.dim
         # row (a, b') and column (a', b) of the transpose read rho_{(a,b),(a',b')}
-        pairs = (np.divmod(idx, c) for idx in self.sectors)
-        return tuple((a[:, None] * c + b) * d + a * c + b[:, None] for a, b in pairs)
+        pairs = (np.divmod(idx, w) for idx in self.sectors)
+        return tuple((a[:, None] * w + b) * d + a * w + b[:, None] for a, b in pairs)
 
     def vacuum(self) -> np.ndarray:
         rho = np.zeros((self.dim, self.dim), dtype=complex)
@@ -291,7 +293,7 @@ def build_fock_generator(
     product with the ``n^2`` products, the Lindblads one with the ``n``
     quadratures, and every sector block a gather from those entries.
     """
-    n = len(space.quadratures())
+    n = space.layout.dim
     if g_form.shape != (n, n) or q_form.shape != (n, n):
         raise ValueError("form dimensions do not match the space")
     rates, vecs = np.linalg.eigh(q_form)
@@ -324,15 +326,13 @@ def build_fock_generator(
 
 
 @functools.lru_cache(maxsize=8)
-def _shared_space(cutoff: int, modes: int) -> FockSpace:
+def _shared_space(cutoff: int, layout: ModeLayout) -> FockSpace:
     """One space per shape, so its quadratures and sector indices are built once."""
-    return FockSpace(cutoff, modes)
+    return FockSpace(cutoff, layout)
 
 
 def fock_generator_from_model(model: SystemModel, cutoff: int) -> FockGenerator:
-    if model.layout != ModeLayout(1, 1):
-        raise ValueError("the dense oracle supports one mode per side")
-    space = _shared_space(cutoff, 2)
+    space = _shared_space(cutoff, model.layout)
     return build_fock_generator(space, hamiltonian_form(model), noise_form(model))
 
 
@@ -539,8 +539,8 @@ def lindblad_rhs(
 
 def leakage(space: FockSpace, rho: np.ndarray) -> float:
     """Worst per-mode population of the highest retained Fock level."""
-    grid = np.real(np.diag(rho)).reshape((space.cutoff,) * space.modes)
-    return float(max(np.take(grid, -1, axis=ax).sum() for ax in range(space.modes)))
+    grid = np.real(np.diag(rho)).reshape((space.cutoff,) * space.layout.n_modes)
+    return float(max(np.take(grid, -1, axis=ax).sum() for ax in range(grid.ndim)))
 
 
 def _taylor_schedule(gen: FockGenerator, t: float) -> tuple[int, int]:
@@ -669,13 +669,12 @@ def extract_covariance(space: FockSpace, rho: np.ndarray) -> CovarianceMatrix:
         for pattern in (space._linear, space._quadratic)
     )
     v = products.reshape(means.size, means.size) - np.outer(means, means)
-    layout = ModeLayout(1, 1) if space.modes == 2 else ModeLayout(1, 0)
-    return CovarianceMatrix(v, layout)
+    return CovarianceMatrix(v, space.layout)
 
 
 def squeezed_vacuum(space: FockSpace, r: float) -> np.ndarray:
     """Single-mode squeezed vacuum: position variance ``e^{-2r}/2``, momentum ``e^{2r}/2``."""
-    if space.modes != 1:
+    if space.layout != ModeLayout(1, 0):
         raise ValueError("squeezed vacuum builder is single mode")
     a = space.destroy()
     # exp(-i H) with the Hermitian H = i r (a^2 - a^dag^2) / 2, from its eigenbasis
@@ -699,7 +698,7 @@ def _eigenbasis(cutoff: int, vec: tuple[float, ...] | None):
     eigenbasis is taken real, so the basis changes into it can be real.
     Cached per cutoff and direction, read-only: one ``eigh`` per direction.
     """
-    one = _shared_space(cutoff, 1)
+    one = _shared_space(cutoff, ModeLayout(1, 0))
     if vec is None:
         pair = np.zeros(cutoff), np.eye(cutoff)
     else:
@@ -752,16 +751,12 @@ def _conjugate(
     return spare
 
 
-def _check_step(
-    space: FockSpace, dt: float, channels, layout: ModeLayout = ModeLayout(1, 1)
-) -> None:
-    if space.modes != 2:
-        raise ValueError("channel averaging needs the two-mode space")
+def _check_step(space: FockSpace, dt: float, channels, layout: ModeLayout) -> None:
     one_mode = all(
         ch.vec.shape == (2,) and (ch.feed_vec is None or ch.feed_vec.shape == (2,))
         for ch in channels
     )
-    if layout != ModeLayout(1, 1) or not one_mode:
+    if {space.layout, layout} != {ModeLayout(1, 1)} or not one_mode:
         raise ValueError("the dense Kraus step supports one mode per side")
     _check_dt(dt)
 
@@ -902,7 +897,7 @@ def kraus_average_step(
 
     Returns the new state together with its trace defect.
     """
-    _check_step(space, dt, (channel,))
+    _check_step(space, dt, (channel,), space.layout)
     eye = np.eye(space.cutoff)
     return _channel_chain(space, rho, (channel,), dt, eye, eye)
 
@@ -925,7 +920,7 @@ def protocol_kraus_step(
     Returns the new state together with its trace defect.
     """
     _check_step(space, dt, protocol.channels, protocol.layout)
-    quadratic = _shared_space(space.cutoff, 1)._quadratic
+    quadratic = _shared_space(space.cutoff, ModeLayout(1, 0))._quadratic
     h = protocol.local_hamiltonian
     unitaries = []
     for local in quadratic.combine([0.5 * h[:2, :2], 0.5 * h[2:, 2:]]):
@@ -939,8 +934,9 @@ def protocol_kraus_step(
 def log_negativity_dense(space: FockSpace, rho: np.ndarray) -> float:
     """Logarithmic negativity (base 2) from the dense partial transpose.
 
-    The partial transpose moves ``rho_{(a,b),(a',b')}`` to ``(a,b'),(a',b)``,
-    which keeps ``a + b + a' + b'`` and so the grade of every entry.  When
+    The partial transpose moves ``rho_{(a,b),(a',b')}`` to ``(a,b'),(a',b)``
+    (``a`` on side A's grid, ``b`` on B's), which keeps the total number of
+    ``a, b, a', b'`` and so the grade of every entry.  When
     no entry of ``rho`` across the even and odd states is nonzero (exactly),
     the spectrum is that of the transpose's sector blocks ``M``, gathered
     from ``rho``, each cut to its leading (lowest-shell) ``n x n`` part, ``n``
@@ -949,10 +945,12 @@ def log_negativity_dense(space: FockSpace, rho: np.ndarray) -> float:
     ``eps |tr rho| / 2``.  The trace norm is at most the entrywise 1-norm, so
     the sum of ``|lambda|`` moves by at most ``eps |tr rho|``: roundoff.
     """
-    if space.modes != 2 or np.shape(rho) != (space.dim, space.dim):
-        raise ValueError("negativity needs the two-mode space and a state on it")
+    if np.shape(rho) != (space.dim, space.dim):
+        raise ValueError("negativity needs a state on the space")
     if any(np.take(rho, i).any() for i in space._block_indices[1]):
-        parts = [rho.reshape((space.cutoff,) * 4).transpose(0, 3, 2, 1).reshape(rho.shape)]
+        w = space.cutoff**space.layout.n_b
+        sides = (space.dim // w, w) * 2
+        parts = [rho.reshape(sides).transpose(0, 3, 2, 1).reshape(rho.shape)]
     else:
         budget = 0.5 * np.finfo(float).eps * abs(np.trace(rho))
         parts = []

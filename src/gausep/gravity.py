@@ -22,6 +22,7 @@ nondimensionalization point.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -118,9 +119,22 @@ class GravityVerdict:
     gamma_temp_bound_K_per_s: float
 
 
+def _cube_in_range(name: str, value: float, factor: float = 1.0) -> float:
+    """``factor value^3``, refused by name where it leaves double range
+    (Python's ``**`` raises ``OverflowError`` there, or rounds to 0)."""
+    try:
+        cube = factor * value**3
+    except OverflowError:
+        cube = math.inf
+    if not 0.0 < cube < math.inf:
+        raise ValueError(f"{name} is out of double range: {cube!r}")
+    return cube
+
+
 def coupling_constant(mass_a_kg: float, mass_b_kg: float, separation_m: float) -> float:
     """Quadratic expansion coefficient ``2 G m_a m_b / d^3`` of the potential."""
-    return 2.0 * GRAVITATIONAL_CONSTANT * mass_a_kg * mass_b_kg / separation_m**3
+    cube = _cube_in_range("separation_m**3", separation_m)
+    return 2.0 * GRAVITATIONAL_CONSTANT * mass_a_kg * mass_b_kg / cube
 
 
 def _sides(scenario: TwoMassScenario | MediatorScenario):
@@ -141,7 +155,12 @@ def _sides(scenario: TwoMassScenario | MediatorScenario):
         gamma_a, gamma_b = scenario.gamma_probe_per_s, scenario.gamma_mediator_per_s
         if scenario.mass_b_kg is not None:
             ratio = scenario.separation_m / scenario.separation_ab_m
-            vec_b = np.array([1.0, 0.0, scenario.mass_b_kg / m_b * ratio**3, 0.0])
+            alpha = _cube_in_range(
+                "alpha = (mass_b_kg / mass_mediator_kg) (separation_m / separation_ab_m)**3",
+                ratio,
+                scenario.mass_b_kg / m_b,
+            )
+            vec_b = np.array([1.0, 0.0, alpha, 0.0])
     norm = np.linalg.norm(vec_b)
     k_g = coupling_constant(m_a, m_b, scenario.separation_m) * norm
     return m_a, m_b, gamma_a, gamma_b, k_g, vec_b / norm

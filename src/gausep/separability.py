@@ -48,9 +48,15 @@ from .symplectic import (
 MARGIN_TOL = 1e-10
 # the stringent bound is also necessary when the shape overlap is this close to one
 NS_TOL = 1e-9
-# Roundoff band of the PPT test, in units of eps ||V~||_1 of the partial
-# transpose; see _pt_spectrum.
+# Roundoff band of the PPT test, in units of eps ||V~||_1 of the balanced
+# partial transpose; see _pt_spectrum.
 PPT_ROUNDOFF_ULPS = 16
+# Within the band of 1/2 a state is reported PPT only where the band is at
+# most this, so any log-negativity the roundoff could hide is below 3e-9.
+PPT_UNRESOLVED_BAND = 1e-9
+# A log-negativity is reported only where nu~_min exceeds this many bands, so
+# the band moves it by at most log2(100 / 99) = 0.0145.
+PPT_RESOLVED_BANDS = 100
 
 
 class BoundKind(enum.Enum):
@@ -89,17 +95,42 @@ class PptVerdict:
 def _pt_spectrum(v: CovarianceMatrix) -> tuple[float, np.ndarray]:
     """Minimum PT symplectic eigenvalue, and the eigenvalues resolved below 1/2.
 
+    Each mode is first scaled by ``diag(2^k, 2^-k)``,
+    ``k = round(log2(V_pp / V_xx) / 4)`` (0 where that is not finite), which
+    brings its two variances within a factor of 4 of each other.  That is a
+    local symplectic map, exact in floating point, and it commutes with the
+    momentum flip, so the spectrum is unchanged; but ``||V~||`` falls from the
+    larger variance to about their geometric mean.
+
     The spectrum of ``i Omega V~`` is computed to within a few ``eps ||V~||``
-    (9.6 at most against a 40-digit reference on laboratory-scale models),
+    (9.6 at most against a 40-digit reference on laboratory-scale models;
+    strongly squeezed multimode states, far from that scale, reach about 100),
     so an eigenvalue counts as below 1/2 only when ``nu~ - 1/2`` is beneath
-    ``-PPT_ROUNDOFF_ULPS eps ||V~||_1``; the 1-norm bounds the spectral norm
-    of the symmetric ``V~`` without a factorization.  Inside that band the
-    state is reported PPT, never "unresolved": the vacuum sits there exactly.
+    minus the band ``PPT_ROUNDOFF_ULPS eps ||V~||_1`` of the balanced matrix;
+    the 1-norm bounds the spectral norm of the symmetric ``V~`` without a
+    factorization.  Inside the band the state is PPT where the band is at
+    most ``PPT_UNRESOLVED_BAND`` (the vacuum sits there exactly) and
+    unresolved above it.  An NPT state is unresolved too unless ``nu~_min``
+    exceeds ``PPT_RESOLVED_BANDS`` bands, which fixes its log-negativity.
+    An unresolved state raises ``ValueError``.
     """
-    pt = partial_transpose(v)
+    d = v.matrix.diagonal()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        k = np.rint(np.log2(d[1::2] / d[0::2]) / 4)
+    e = np.repeat(np.where(np.isfinite(k), k, 0).astype(int), 2)
+    e[1::2] *= -1  # (k, -k) on (x, p) of each mode
+    pt = partial_transpose(CovarianceMatrix(np.ldexp(v.matrix, e[:, None] + e), v.layout))
     band = PPT_ROUNDOFF_ULPS * np.finfo(float).eps * np.linalg.norm(pt.matrix, 1)
     spec = symplectic_spectrum(pt)
-    return float(spec[-1]), spec[spec - 0.5 < -band]
+    low, below = float(spec[-1]), spec[spec - 0.5 < -band]
+    if abs(low - 0.5) <= band and band > PPT_UNRESOLVED_BAND:
+        raise ValueError(f"unresolved: nu~_min {low:.6g} is within the band {band:.3g} of 1/2")
+    if below.size and not low > PPT_RESOLVED_BANDS * band:
+        raise ValueError(
+            f"unresolved: nu~_min {low:.3g} is within {PPT_RESOLVED_BANDS} bands "
+            f"({band:.3g} each) of 0, so its log-negativity is not fixed"
+        )
+    return low, below
 
 
 def ppt_multimode(v: CovarianceMatrix) -> PptVerdict:

@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -15,7 +16,7 @@ from gausep import cli, fock, gravity
 from gausep.cli import main
 from gausep.dynamics import evolve
 from gausep.generators import build_generator, model_from_dict, model_to_dict
-from gausep.separability import log_negativity, ppt_multimode
+from gausep.separability import PPT_RESOLVED_BANDS, log_negativity, ppt_multimode
 from gausep.symplectic import CovarianceMatrix
 
 FREE_MASS = {
@@ -812,7 +813,9 @@ def test_invalid_tolerance_exits_one_before_any_verdict(tmp_path, capsys, comman
     assert "--tol" in captured.err
 
 
-def test_oracle_on_two_modes_per_side_exits_one_without_output(tmp_path, capsys):
+def test_oracle_on_two_modes_per_side_exits_one_without_output(
+    tmp_path, capsys, monkeypatch
+):
     model = json.loads(json.dumps(FREE_MASS))
     model["layout"] = {"n_a": 2, "n_b": 2}
     model["hamiltonian_a"] = model["hamiltonian_b"] = np.eye(4).tolist()
@@ -824,9 +827,26 @@ def test_oracle_on_two_modes_per_side_exits_one_without_output(tmp_path, capsys)
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "one mode per side" in captured.err
+    # the dense oracle takes a 1+2 model, but --oracle runs the 1+1 Kraus
+    # step: the layout is refused before a generator is built, even at a
+    # cutoff over the dimension cap
+    def no_generator(*args, **kwargs):
+        raise AssertionError("the oracle built a generator")
+
+    monkeypatch.setattr(fock, "fock_generator_from_model", no_generator)
+    model = json.loads(json.dumps(FREE_MASS))
+    model["layout"] = {"n_a": 1, "n_b": 2}
+    model["hamiltonian_b"] = np.eye(4).tolist()
+    model["coupling"]["vec_b"] = [1.0, 0.0, 0.0, 0.0]
+    for cutoff in (4, 40):
+        cfg = write_config(tmp_path, {"model": model, "oracle_cutoff": cutoff})
+        assert main(["locc-verify", "--config", cfg, "--oracle"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "one mode per side" in captured.err
 
 
-@pytest.mark.parametrize("step", [["--t", "-0.1"], ["--dt", "0"]])
+@pytest.mark.parametrize("step",[["--t", "-0.1"], ["--dt", "0"]])
 def test_locc_verify_rejects_a_bad_step_before_any_output(tmp_path, capsys, step):
     cfg = write_config(tmp_path, model_config(1.0))
     assert main(["locc-verify", "--config", cfg, *step]) == 1
@@ -950,8 +970,14 @@ def test_evolve_overflow_exits_one_before_any_row(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err == "error: the covariance overflows before --t = 800\n"
     assert not out.exists()
-    assert main([*argv, "--t", "300"]) == 0
+    assert main([*argv, "--t", "10"]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 6
+    # at t = 300 the rows are finite, but from t = 75 on their PT spectrum
+    # is not resolved (nu~_min is within a band of 1e15 or more of 1/2)
+    assert main([*argv, "--t", "300"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[1:] == ["0,0.50000000000000011,0,1"]
+    assert captured.err.startswith("error: at t = 75: unresolved")
 
 
 @pytest.mark.parametrize("t", ["1e300", "1.7e308"])
@@ -965,6 +991,49 @@ def test_evolve_overflow_at_an_extreme_time_is_one_error_line(t):
     assert result.returncode == 1
     assert result.stdout == ""
     assert result.stderr == f"error: the covariance overflows before --t = {float(t):g}\n"
+
+
+def last_evolve_row(capsys, argv):
+    """Exit code and the last CSV row (``None`` on exit 1) of an ``evolve`` run."""
+    code = main(["evolve", *argv])
+    captured = capsys.readouterr()
+    if code == 1:
+        assert "unresolved" in captured.err
+        return code, None
+    assert code == 0 and captured.err == ""
+    return code, captured.out.splitlines()[-1].split(",")
+
+
+@pytest.mark.parametrize("t", [f"1e{p}" for p in range(2, 13)])
+def test_entangling_config_at_long_horizons_is_right_or_unresolved(capsys, t):
+    """nu~ tends to 1/3 (log-negativity log2(3/2) = 0.58496): with each mode's
+    variances balanced before the spectrum, a row prints that or exits 1,
+    never the log-negativity 0 of a band that swamps the gap."""
+    argv = ["--config", str(CONFIGS / "entangling.json"), "--t", t, "--steps", "1"]
+    code, row = last_evolve_row(capsys, argv)
+    if code == 0:
+        assert 0.58 <= float(row[2]) <= 0.585
+
+
+@pytest.mark.parametrize("r", range(1, 21))
+def test_two_mode_squeezed_vacuum_is_right_or_unresolved(tmp_path, capsys, r):
+    """The log-negativity of a two-mode squeezed vacuum is ``2r / ln 2``; a row
+    prints it within ``log2(C / (C - 1))`` (``nu~_min`` exceeds ``C`` bands,
+    ``C = PPT_RESOLVED_BANDS``) or exits 1."""
+    cosh, sinh = 0.5 * math.cosh(2 * r), 0.5 * math.sinh(2 * r)
+    squeezed = [
+        [cosh, 0.0, sinh, 0.0],
+        [0.0, cosh, 0.0, -sinh],
+        [sinh, 0.0, cosh, 0.0],
+        [0.0, -sinh, 0.0, cosh],
+    ]
+    cfg = write_config(tmp_path, {**model_config(1.0), "initial_covariance": squeezed})
+    code, row = last_evolve_row(capsys, ["--config", cfg, "--t", "0", "--steps", "1"])
+    if code == 0:
+        c = PPT_RESOLVED_BANDS
+        assert abs(float(row[2]) - 2 * r / math.log(2)) <= math.log2(c / (c - 1))
+    if r <= 7:  # resolved up to r = 7 (nu~_min / band = 197 there)
+        assert code == 0
 
 
 def loaded_modules(argv, out):

@@ -2,6 +2,7 @@
 
 import contextlib
 import dataclasses
+import functools
 import math
 
 import mpmath
@@ -42,6 +43,7 @@ from gausep.generators import (
     hamiltonian_form,
     noise_form,
 )
+from gausep.gravity import GRAVITATIONAL_CONSTANT, MediatorScenario, to_model
 from gausep.locc import (
     LoccProtocol,
     Rank1Channel,
@@ -67,20 +69,20 @@ def rank1_model(k, s_a, s_b, s_ab=0.0, h_a=None, h_b=None):
 
 def test_quadrature_commutator():
     """[x, p] = i holds away from the truncation edge."""
-    space = FockSpace(8, modes=1)
+    space = FockSpace(8, ModeLayout(1, 0))
     x, p = space.position(), space.momentum()
     comm = x @ p - p @ x
     np.testing.assert_allclose(comm[:7, :7], 1j * np.eye(8)[:7, :7], atol=1e-12)
 
 
 def test_vacuum_covariance_is_half_identity():
-    space = FockSpace(6, modes=2)
+    space = FockSpace(6, ModeLayout(1, 1))
     cov = extract_covariance(space, space.vacuum())
     np.testing.assert_allclose(cov.matrix, 0.5 * np.eye(4), atol=1e-12)
 
 
 def test_squeezed_vacuum_variances():
-    space = FockSpace(24, modes=1)
+    space = FockSpace(24, ModeLayout(1, 0))
     rho = squeezed_vacuum(space, 0.4)
     x, p = space.position(), space.momentum()
     var_x = float(np.real(np.trace(rho @ x @ x)))
@@ -90,9 +92,9 @@ def test_squeezed_vacuum_variances():
 
 
 def test_product_state_composes_covariances():
-    space_1 = FockSpace(20, modes=1)
+    space_1 = FockSpace(20, ModeLayout(1, 0))
     rho = product_state(squeezed_vacuum(space_1, 0.2), squeezed_vacuum(space_1, -0.3))
-    cov = extract_covariance(FockSpace(20, modes=2), rho)
+    cov = extract_covariance(FockSpace(20, ModeLayout(1, 1)), rho)
     expected = np.diag(
         [np.exp(-0.4) / 2, np.exp(0.4) / 2, np.exp(0.6) / 2, np.exp(-0.6) / 2]
     )
@@ -114,7 +116,7 @@ def test_dense_evolution_matches_moment_flow():
 
 def test_kraus_step_matches_gaussian_channel_map():
     """The record-averaged step reproduces the exact finite-dt channel map."""
-    space = FockSpace(12, modes=2)
+    space = FockSpace(12, ModeLayout(1, 1))
     for vec in (np.array([1.0, 0.0]), np.array([0.6, 0.8])):
         ch = Rank1Channel(
             side="A", gamma=0.9, vec=vec, lam=0.8,
@@ -129,7 +131,7 @@ def test_kraus_step_matches_gaussian_channel_map():
 
 def test_kraus_step_on_measured_eigenbasis_is_trace_exact():
     """With no feed-forward the multiplier is diagonal-exact, defect roundoff."""
-    space = FockSpace(10, modes=2)
+    space = FockSpace(10, ModeLayout(1, 1))
     ch = Rank1Channel(side="B", gamma=1.2, vec=np.array([1.0, 0.0]))
     _, defect = kraus_average_step(space, space.vacuum(), ch, 5e-3)
     assert defect < 1e-12
@@ -139,7 +141,7 @@ def test_protocol_kraus_step_tracks_the_semigroup():
     model = rank1_model(1.0, 2.0, 2.0, h_a=np.eye(2), h_b=np.eye(2))
     protocol = build_rank1_protocol(model)
     eff = effective_generator(protocol)
-    space = FockSpace(12, modes=2)
+    space = FockSpace(12, ModeLayout(1, 1))
     fgen = build_fock_generator(space, eff.hamiltonian, eff.noise_quadratic)
     dt = 2e-3
     stepped, defect = protocol_kraus_step(space, space.vacuum(), protocol, dt)
@@ -150,7 +152,7 @@ def test_protocol_kraus_step_tracks_the_semigroup():
 
 def eigenbasis(cutoff, vec):
     """Eigenvalues and eigenvectors of ``vec . (x, p)`` on one mode."""
-    one = FockSpace(cutoff, modes=1)
+    one = FockSpace(cutoff, ModeLayout(1, 0))
     return np.linalg.eigh(vec[0] * one.position() + vec[1] * one.momentum())
 
 
@@ -196,7 +198,7 @@ def elementwise_kraus_average(space, rho, channel, dt, tol=1e-12, orders=(20, 40
 @pytest.mark.parametrize("vacuum", [True, False])
 def test_factored_kraus_average_matches_the_elementwise_multiplier(side, feed, vacuum):
     cutoff = 7
-    space = FockSpace(cutoff, modes=2)
+    space = FockSpace(cutoff, ModeLayout(1, 1))
     rho = space.vacuum() if vacuum else random_state(space.dim, 3)
     ch = Rank1Channel(
         side=side,
@@ -216,7 +218,7 @@ def test_factored_kraus_average_matches_the_elementwise_multiplier(side, feed, v
 @pytest.mark.parametrize("vacuum", [True, False])
 def test_position_kraus_average_matches_the_elementwise_multiplier(side, vacuum):
     """Position directions have real eigenbases: the basis changes run on float pairs."""
-    space = FockSpace(7, modes=2)
+    space = FockSpace(7, ModeLayout(1, 1))
     rho = space.vacuum() if vacuum else random_state(space.dim, 3)
     ch = Rank1Channel(
         side=side, gamma=1.3, vec=np.array([1.0, 0.0]), lam=0.7,
@@ -249,7 +251,7 @@ def test_protocol_unitary_matches_the_dense_exponential(cutoff):
     h_a = np.array([[1.0, 0.3], [0.3, 0.5]])
     h_b = np.array([[0.7, -0.2], [-0.2, 1.1]])
     model = rank1_model(1.0, 2.0, 2.0, h_a=h_a, h_b=h_b)
-    space = FockSpace(cutoff, modes=2)
+    space = FockSpace(cutoff, ModeLayout(1, 1))
     dt = 0.05
     h_loc = build_rank1_protocol(model).local_hamiltonian
     h, _, _ = dense_generator(space, h_loc, np.zeros_like(h_loc))
@@ -276,7 +278,7 @@ def test_kraus_average_is_the_exact_record_integral():
     extreme fed eigenvalues is ``~e^-150`` exactly.
     """
     c, dt = 12, 10.0
-    space = FockSpace(c, modes=2)
+    space = FockSpace(c, ModeLayout(1, 1))
     ch = Rank1Channel(
         side="A", gamma=0.5, vec=np.array([1.0, 0.0]), lam=1.0,
         feed_vec=np.array([0.0, 1.0]), kappa=1.0,
@@ -319,7 +321,7 @@ def test_protocol_step_changes_basis_once_per_distinct_basis_plus_once(monkeypat
     protocol = build_rank1_protocol(harmonic)
     ch_a, ch_b = protocol.channels
     momentum_feed = dataclasses.replace(ch_a, feed_vec=np.array([0.0, 1.0]))
-    space = FockSpace(6, modes=2)
+    space = FockSpace(6, ModeLayout(1, 1))
     for stepped, count in (
         (protocol, 2),  # both channels in the bases (x_A, x_B): one group
         (LoccProtocol(protocol.layout, (), protocol.local_hamiltonian), 1),
@@ -430,7 +432,7 @@ def wide_channel(part):
 
 @pytest.mark.parametrize("part", ["vec", "feed_vec"])
 def test_channel_step_refuses_more_than_one_mode_per_side(part):
-    space = FockSpace(6, modes=2)
+    space = FockSpace(6, ModeLayout(1, 1))
     with pytest.raises(ValueError, match="one mode per side"):
         kraus_average_step(space, space.vacuum(), wide_channel(part), 1e-3)
 
@@ -441,7 +443,19 @@ def test_protocol_step_refuses_more_than_one_mode_per_side():
         side="A", gamma=1.0, vec=wide, lam=0.5, feed_vec=wide, kappa=0.2
     )
     protocol = LoccProtocol(ModeLayout(2, 2), (channel,), np.eye(8))
-    space = FockSpace(6, modes=2)
+    space = FockSpace(6, ModeLayout(1, 1))
+    with pytest.raises(ValueError, match="one mode per side"):
+        protocol_kraus_step(space, space.vacuum(), protocol, 1e-3)
+
+
+@pytest.mark.parametrize("layout", [(1, 0), (1, 2), (2, 1)])
+def test_kraus_steps_refuse_a_space_of_another_layout(layout):
+    """One-mode channels and a 1+1 protocol still need the 1+1 space."""
+    model = rank1_model(1.0, 2.0, 2.0, h_a=np.eye(2), h_b=np.eye(2))
+    protocol = build_rank1_protocol(model)
+    space = FockSpace(4, ModeLayout(*layout))
+    with pytest.raises(ValueError, match="one mode per side"):
+        kraus_average_step(space, space.vacuum(), protocol.channels[0], 1e-3)
     with pytest.raises(ValueError, match="one mode per side"):
         protocol_kraus_step(space, space.vacuum(), protocol, 1e-3)
 
@@ -463,7 +477,7 @@ def test_generic_direction_keeps_one_lindblad_per_noise_direction():
 def test_dense_log_negativity_matches_gaussian():
     """A dense two-mode squeezed state reproduces the closed-form E_N."""
     r = 0.3
-    space = FockSpace(14, modes=2)
+    space = FockSpace(14, ModeLayout(1, 1))
     a = np.diag(np.sqrt(np.arange(1, 14)), 1)
     eye = np.eye(14)
     ab = np.kron(a, a)
@@ -489,9 +503,11 @@ def test_leakage_guard_trips_on_a_tight_cutoff():
 
 def test_space_validation():
     with pytest.raises(ValueError):
-        FockSpace(1, modes=1)
-    with pytest.raises(ValueError):
-        FockSpace(8, modes=3)
+        FockSpace(1, ModeLayout(1, 0))
+    with pytest.raises(ValueError, match="from 2 to 10 on 3 modes"):
+        FockSpace(11, ModeLayout(1, 2))
+    assert FockSpace(10, ModeLayout(2, 1)).dim == 1000
+    assert FockSpace(1024, ModeLayout(1, 0)).dim == 1024
 
 
 def test_cutoff_is_capped_before_any_operator_is_built():
@@ -756,10 +772,11 @@ def sector_block(a, space, r, c):
 
 
 def test_space_sectors_split_the_basis_by_total_parity():
-    for modes, cutoff in ((1, 5), (2, 4), (2, 5)):
-        space = FockSpace(cutoff, modes=modes)
+    for layout, cutoff in (((1, 0), 5), ((1, 1), 4), ((1, 1), 5), ((1, 2), 4)):
+        space = FockSpace(cutoff, ModeLayout(*layout))
         even, odd = space.sectors
-        total = np.array([sum(divmod(i, cutoff)) for i in range(space.dim)])
+        grid = (cutoff,) * space.layout.n_modes
+        total = np.array([sum(np.unravel_index(i, grid)) for i in range(space.dim)])
         assert np.all(total[even] % 2 == 0) and np.all(total[odd] % 2 == 1)
         assert sorted([*even, *odd]) == list(range(space.dim))
         # sorted by total number, so every shell-capped window is a prefix
@@ -788,11 +805,15 @@ def test_generator_never_connects_the_two_parities(cutoff):
 
 
 def dense_quadratures(space):
-    x, p = space.position(), space.momentum()
-    if space.modes == 1:
-        return [x, p]
-    eye = np.eye(space.cutoff)
-    return [np.kron(x, eye), np.kron(p, eye), np.kron(eye, x), np.kron(eye, p)]
+    """``(x_1, p_1, ..., x_n, p_n)``, each ``I (x) q (x) I`` by dense ``np.kron``."""
+    n, eye = space.layout.n_modes, np.eye(space.cutoff)
+    quads = []
+    for mode in range(n):
+        for q in (space.position(), space.momentum()):
+            factors = [eye] * n
+            factors[mode] = q
+            quads.append(functools.reduce(np.kron, factors))
+    return quads
 
 
 def dense_generator(space, g, q):
@@ -859,7 +880,7 @@ def test_generator_and_moments_match_dense_quadrature_algebra(cutoff):
 
 
 def test_split_and_join_are_inverse():
-    space = FockSpace(5, modes=2)
+    space = FockSpace(5, ModeLayout(1, 1))
     rho = random_state(space.dim, 21)
     blocks = _split_sectors(space, rho)
     np.testing.assert_array_equal(_join_sectors(space, blocks), rho)
@@ -1009,7 +1030,7 @@ def test_squeezed_number_and_random_states_negativity_from_leading_blocks(monkey
 
 def test_lab_scale_indefinite_noise_form_is_refused():
     """The PSD check is relative to the largest rate, at any scale."""
-    space = FockSpace(4, modes=2)
+    space = FockSpace(4, ModeLayout(1, 1))
     g = np.zeros((4, 4))
     for scale in (1.0, 1e-12):
         with pytest.raises(ValueError, match="positive semidefinite"):
@@ -1018,17 +1039,20 @@ def test_lab_scale_indefinite_noise_form_is_refused():
         assert len(fgen.split_lindblads) == 2
 
 
-def test_quadratures_are_built_once_per_space():
-    space = FockSpace(6, modes=2)
-    assert space.quadratures() is space.quadratures()
-    assert len(space.quadratures()) == 4
+@pytest.mark.parametrize("layout", [(1, 0), (1, 1), (1, 2), (2, 1)])
+def test_quadratures_are_built_once_per_space(layout):
+    space = FockSpace(4, ModeLayout(*layout))
+    assert space._quadratures is space._quadratures
+    assert len(space._quadratures) == space.layout.dim
+    for op, dense in zip(space._quadratures, dense_quadratures(space)):
+        np.testing.assert_array_equal(op.toarray(), dense)
 
 
 @pytest.mark.parametrize("dt", [float("nan"), float("inf"), -float("inf"), 0.0, -1e-3])
 def test_channel_steps_reject_a_non_finite_or_nonpositive_dt(dt):
     model = rank1_model(1.0, 2.0, 2.0, h_a=np.eye(2), h_b=np.eye(2))
     protocol = build_rank1_protocol(model)
-    space = FockSpace(6, modes=2)
+    space = FockSpace(6, ModeLayout(1, 1))
     with pytest.raises(ValueError, match="finite and positive"):
         kraus_average_step(space, space.vacuum(), protocol.channels[0], dt)
     with pytest.raises(ValueError, match="finite and positive"):
@@ -1197,3 +1221,111 @@ def test_position_noise_is_applied_by_the_real_kernel_bitwise():
     _matmul_add(a, x, out)
     np.testing.assert_array_equal(out, a.astype(complex) @ x)
 
+
+
+# -- any layout: the mediator cross-check -------------------------------------
+
+
+def mediator_model(k, s_a, s_b):
+    """1+2 rank-1 model: the probe A couples to ``0.6 x_M + 0.8 x_B`` of the
+    mediator M and the mass B, both on side B."""
+    return SystemModel(
+        layout=ModeLayout(1, 2),
+        h_a=np.eye(2),
+        h_b=np.eye(4),
+        coupling=Rank1Coupling(k, np.array([1.0, 0.0]), np.array([0.6, 0.0, 0.8, 0.0])),
+        noise=ScalarWhiteNoise(s_a=s_a, s_b=s_b),
+    )
+
+
+def dense_chunks(model, cutoff, dt, chunks):
+    """The dense state after each of ``chunks`` steps of ``dt`` from the vacuum,
+    with the Gaussian covariance at the same time."""
+    fgen = fock_generator_from_model(model, cutoff)
+    gen, rho = build_generator(model), fgen.space.vacuum()
+    for j in range(1, chunks + 1):
+        rho = lindblad_integrate(fgen, rho, dt)
+        yield fgen.space, rho, evolve(gen, CovarianceMatrix.vacuum(model.layout), j * dt)
+
+
+def test_mediator_layout_matches_the_gaussian_route():
+    """Below threshold the probe entangles with (M, B): the dense covariance and
+    log-negativity across A|(M, B) follow ``evolve`` chunk by chunk."""
+    model = mediator_model(1.0, 0.5, 0.5)
+    values = []
+    for space, rho, v in dense_chunks(model, 8, 0.01, 5):
+        assert space.layout == ModeLayout(1, 2) and space.dim == 8**3
+        cov = extract_covariance(space, rho)
+        assert cov.layout == model.layout
+        assert np.abs(cov.matrix - v.matrix).max() <= 1e-9
+        values.append(log_negativity_dense(space, rho))
+        assert abs(values[-1] - log_negativity(v)) <= 1e-13
+        assert fock.leakage(space, rho) < 1e-10
+    assert 0 < values[0] < values[-1]
+
+
+def test_saturated_mediator_model_stays_ppt_at_every_chunk():
+    """At the threshold ``s_a s_b = k^2`` no chunk is NPT across A|(M, B)."""
+    for space, rho, v in dense_chunks(mediator_model(1.0, 0.8, 1.25), 8, 0.01, 5):
+        assert log_negativity_dense(space, rho) == 0.0
+        assert np.abs(extract_covariance(space, rho).matrix - v.matrix).max() <= 1e-9
+
+
+def test_gravity_mediator_scenario_runs_through_the_dense_oracle():
+    """A probe, a mediator and a mass B at rates of order one at the frequency
+    where the dimensionless coupling is 1 (``gravity._rates``)."""
+    scenario = MediatorScenario(
+        1.0, 1.0, 0.1, 1e-18, 1e-18, 0.5, mass_b_kg=1.0, separation_ab_m=0.2
+    )
+    k_g = 2.0 * GRAVITATIONAL_CONSTANT / 0.1**3 * math.hypot(1.0, 0.125)
+    model, units = to_model(scenario, math.sqrt(k_g))
+    assert model.layout == ModeLayout(1, 2)
+    assert units.coupling_dimensionless == pytest.approx(1.0, rel=1e-12)
+    assert 0.1 < units.noise_a_dimensionless == units.noise_b_dimensionless < 10
+    ((space, rho, v),) = dense_chunks(model, 8, 0.01, 1)
+    assert np.abs(extract_covariance(space, rho).matrix - v.matrix).max() <= 1e-9
+    assert abs(log_negativity_dense(space, rho) - log_negativity(v)) <= 1e-13
+
+
+def kron_partial_transpose(space, rho):
+    """``sum_ij (I (x) E_ij) rho (I (x) E_ij)``, the transpose on side B, from
+    dense ``np.kron``: ``E_ij Y E_ij = Y_ji E_ij`` sums to ``Y^T``."""
+    width = space.cutoff**space.layout.n_b
+    eye = np.eye(space.dim // width)
+    out = np.zeros_like(rho)
+    for i in range(width):
+        for j in range(width):
+            unit = np.zeros((width, width))
+            unit[i, j] = 1.0
+            op = np.kron(eye, unit)
+            out += op @ rho @ op
+    return out
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    layout=st.sampled_from([(1, 1), (1, 2), (2, 1)]),
+    cutoff=st.integers(3, 4),
+    seed=st.integers(0, 2**32 - 1),
+    grade_zero=st.booleans(),
+)
+def test_block_pt_spectrum_is_the_explicit_transpose_spectrum(
+    layout, cutoff, seed, grade_zero
+):
+    space = FockSpace(cutoff, ModeLayout(*layout))
+    rng = np.random.default_rng(seed)
+    psi = rng.normal(size=(space.dim, 2)) + 1j * rng.normal(size=(space.dim, 2))
+    rho = psi @ psi.conj().T  # rank 2: NPT almost surely
+    if grade_zero:
+        grid = (cutoff,) * space.layout.n_modes
+        parity = np.array([sum(np.unravel_index(i, grid)) % 2 for i in range(space.dim)])
+        rho[parity[:, None] != parity] = 0.0
+    rho /= np.trace(rho)
+    explicit = np.linalg.eigvalsh(kron_partial_transpose(space, rho))
+    reference = float(np.log2(np.abs(explicit).sum()))
+    assert abs(log_negativity_dense(space, rho) - reference) <= 1e-14
+    if grade_zero:
+        blocks = np.concatenate(
+            [np.linalg.eigvalsh(np.take(rho, i)) for i in space._pt_blocks]
+        )
+        np.testing.assert_allclose(np.sort(blocks), explicit, rtol=0, atol=1e-14)

@@ -232,6 +232,42 @@ def test_rates_out_of_double_range_are_refused_by_name_without_a_warning(scenari
     assert "omega_per_s" not in str(refused.value)
 
 
+@pytest.mark.parametrize(
+    "scenario, quantity",
+    [
+        (TwoMassScenario(1.0, 1.0, 1e150, 1.0, 1.0, 1.0), "separation_m**3"),
+        (TwoMassScenario(1.0, 1.0, 1e-120, 1.0, 1.0, 1.0), "separation_m**3"),
+        (MediatorScenario(1.0, 1.0, 1e150, 1.0, 1.0, 1.0), "separation_m**3"),
+        (
+            MediatorScenario(
+                1.0, 1.0, 1e100, 1.0, 1.0, 1.0, mass_b_kg=1.0, separation_ab_m=1e-10
+            ),
+            "alpha",
+        ),
+        (
+            MediatorScenario(
+                1.0, 1e-300, 1.0, 1.0, 1.0, 1.0, mass_b_kg=1e300, separation_ab_m=1.0
+            ),
+            "alpha",
+        ),
+    ],
+)
+def test_cubes_out_of_double_range_are_refused_by_name_without_a_warning(
+    scenario, quantity
+):
+    """``d^3`` and the fold ``alpha = (m_B / m_med) (d / d_AB)^3`` overflow (or
+    round to 0) before any rate: both the verdict and the model refuse them."""
+    verdict = (
+        two_mass_threshold if isinstance(scenario, TwoMassScenario) else mediator_threshold
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (verdict, lambda s: to_model(s, 1.0)):
+            with pytest.raises(ValueError, match="out of double range") as refused:
+                call(scenario)
+            assert str(refused.value).startswith(quantity)
+
+
 def test_a_normal_scenario_keeps_its_verdict_and_rates_without_a_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")

@@ -17,6 +17,7 @@ from gausep.generators import (
     build_generator,
 )
 from gausep.separability import (
+    PPT_RESOLVED_BANDS,
     PPT_ROUNDOFF_ULPS,
     BoundKind,
     CertificateFailure,
@@ -343,7 +344,7 @@ def symmetric(dim, bound):
 
 
 @st.composite
-def gaussian_states(draw):
+def gaussian_states(draw, strengths=(0.0, 1e-16, 1e-14, 1e-12, 1e-8, 1e-3, 0.5)):
     """Thermal states under an entangling map, some within the band of PPT."""
     layout = ModeLayout(*draw(st.sampled_from([(1, 1), (1, 2), (2, 2)])))
     nu = draw(
@@ -353,7 +354,7 @@ def gaussian_states(draw):
             max_size=layout.n_modes,
         )
     )
-    strength = draw(st.sampled_from([0.0, 1e-16, 1e-14, 1e-12, 1e-8, 1e-3, 0.5]))
+    strength = draw(st.sampled_from(strengths))
     s = symplectic_map(strength * draw(symmetric(layout.dim, 1.0)))
     return CovarianceMatrix(s @ np.diag(np.repeat(nu, 2)) @ s.T, layout)
 
@@ -363,6 +364,28 @@ def test_log_negativity_is_positive_exactly_when_npt(v):
     verdict = ppt_multimode(v)
     assert (log_negativity(v) > 0) == verdict.npt
     assert verdict.log_negativity == log_negativity(v)
+
+
+@given(gaussian_states(strengths=(1.0, 3.0, 10.0)))
+def test_strongly_squeezed_states_are_resolved_or_refused(v):
+    """Maps of strength up to 10 put the covariance far beyond laboratory
+    scale: a verdict is refused as unresolved, or it keeps ``log_negativity
+    > 0`` exactly when NPT, with ``nu~_min`` over ``PPT_RESOLVED_BANDS``
+    bands of its balanced partial transpose where NPT."""
+    try:
+        verdict = ppt_multimode(v)
+    except ValueError as exc:
+        assert str(exc).startswith("unresolved")
+        return
+    assert (verdict.log_negativity > 0) == verdict.npt
+    assert verdict.log_negativity == log_negativity(v)
+    if verdict.npt:
+        diag = np.diag(v.matrix)
+        k = np.rint(np.log2(diag[1::2] / diag[0::2]) / 4)
+        scale = 2.0 ** np.stack([k, -k], axis=1).ravel()
+        balanced = CovarianceMatrix(v.matrix * np.outer(scale, scale), v.layout)
+        band = pt_band(balanced)
+        assert verdict.min_sympl_eig > PPT_RESOLVED_BANDS * band
 
 
 @given(gaussian_states(), st.data())
