@@ -41,7 +41,7 @@ from .separability import (
     stringent_ns_check,
     threshold,
 )
-from .symplectic import CovarianceMatrix, ModeLayout, is_physical
+from .symplectic import CovarianceMatrix, is_physical
 
 _LOG = logging.getLogger("gausep")
 
@@ -271,18 +271,20 @@ def cmd_locc_verify(args) -> int:
     if args.t <= 0 or args.dt <= 0:
         raise ConfigError("--t and --dt must be positive")
     steps = _trotter_steps(args.t, args.dt)
-    # the oracle is built and its step scheduled first, so an unsupported
-    # layout or a step over the work cap fails before any output
+    # the oracle is built and its step scheduled first, so a cutoff over the
+    # layout's cap or a step over the work cap fails before any output
     config = Fields(data)
     cutoff = config.integer("oracle_cutoff", 2, 12)
     branch = config.choice("branch", ("plus", "minus"), "plus")
     fgen = None
     if args.oracle:
-        if model.layout != ModeLayout(1, 1):
-            raise ConfigError("the oracle's dense Kraus step supports one mode per side")
         # the dense oracle, and scipy with it, loads only when asked for
-        from .fock import _taylor_schedule, fock_generator_from_model
+        from .fock import FockSpace, _taylor_schedule, fock_generator_from_model
         from .fock import lindblad_integrate, protocol_kraus_step
+        try:
+            FockSpace(cutoff, model.layout)
+        except ValueError as exc:
+            raise ConfigError(f"oracle_cutoff: {exc}") from None
         fgen = fock_generator_from_model(model, cutoff)
         _taylor_schedule(fgen, args.dt)
     target = build_generator(model)

@@ -5,7 +5,7 @@ module rebuilds the same dynamics as operators on a truncated Fock space so
 results can be cross-checked against an implementation that shares no code
 path with the Gaussian one.  The space (:class:`FockSpace`) is the product
 grid of a model's own :class:`ModeLayout` at one cutoff, side A's modes
-first, at most ``MAX_DIM`` states; only the Kraus step needs one mode a side.
+first, at most ``MAX_DIM`` states; every function below takes any layout.
 
 * :func:`build_fock_generator` turns the quadratic Hamiltonian and noise
   forms into the sparse parity blocks of the master equation: the
@@ -36,11 +36,11 @@ first, at most ``MAX_DIM`` states; only the Kraus step needs one mode a side.
   elementwise multiplier on the density matrix, exact in closed form (each
   entry of the record integral is a Gaussian integral of a phase): one real
   exponential, at most 1, times unit phases, applied to the state in place.
-  Basis changes act mode by mode, on the complex entries as float pairs
-  where both one-mode factors are real (a position quadrature's eigenbasis
-  is).  :func:`protocol_kraus_step` fuses each with the next, one per
-  distinct pair of bases plus one for the local unitary (from the
-  eigendecompositions of the one-mode Hamiltonians); channels in equal
+  Basis changes act side by side, each on its side's own grid, on the
+  complex entries as float pairs where both side factors are real (a
+  position quadrature's eigenbasis is).  :func:`protocol_kraus_step` fuses
+  each with the next, one per distinct pair of bases plus one for the local
+  unitary (from the eigendecompositions of the side Hamiltonians); channels in equal
   bases share one multiplier, so a rank-1 step is a real basis change, one
   real exponential, the feedback phase on rows and columns and a complex
   basis change;
@@ -99,6 +99,14 @@ class FockSpace:
     @property
     def dim(self) -> int:
         return self.cutoff**self.layout.n_modes
+
+    @property
+    def sides(self) -> tuple[int, int]:  # the sizes (D_A, D_B) of the sides' grids
+        return self.cutoff**self.layout.n_a, self.cutoff**self.layout.n_b
+
+    def _check_state(self, rho) -> None:
+        if np.shape(rho) != (self.dim, self.dim):
+            raise ValueError(f"state of shape {np.shape(rho)} is not {self.dim} x {self.dim}")
 
     def destroy(self) -> np.ndarray:
         return np.diag(np.sqrt(np.arange(1, self.cutoff)), 1)
@@ -175,7 +183,7 @@ class FockSpace:
     def _pt_blocks(self) -> tuple[np.ndarray, np.ndarray]:
         """Flat indices into ``rho`` of its partial transpose's sector blocks;
         state ``a w + b`` is ``a`` on side A's grid, ``b < w = cutoff^n_b`` on B's."""
-        w, d = self.cutoff**self.layout.n_b, self.dim
+        w, d = self.sides[1], self.dim
         # row (a, b') and column (a', b) of the transpose read rho_{(a,b),(a',b')}
         pairs = (np.divmod(idx, w) for idx in self.sectors)
         return tuple((a[:, None] * w + b) * d + a * w + b[:, None] for a, b in pairs)
@@ -262,6 +270,11 @@ class _SharedPattern:
         """
         coeffs = np.asarray(coeffs, dtype=complex)
         return coeffs.reshape(-1, len(self.data)) @ self.data
+
+    def dense(self, coeffs) -> np.ndarray:  # sum_i c_i B_i of one set, as one array
+        out = np.zeros((self.dim, self.dim), dtype=complex)
+        out[self.rows, self.cols] = self.combine(coeffs)[0]
+        return out
 
     def block(self, values: np.ndarray, r: int, c: int) -> sp.csr_array:
         """Block ``(r, c)`` of the matrix with these stored entries, as CSR
@@ -379,8 +392,7 @@ def _split_sectors(space: FockSpace, rho: np.ndarray) -> Sectors:
     columns of parity ``j ^ g``: grade 0 is ``(rho_ee, rho_oo)`` and grade 1
     ``(rho_eo, rho_oe)``.  Each block is a new C-contiguous complex array.
     """
-    if np.shape(rho) != (space.dim, space.dim):
-        raise ValueError("matrix shape does not match the space")
+    space._check_state(rho)
     return {
         g: tuple(np.asarray(np.take(rho, i), dtype=complex) for i in pair)
         for g, pair in space._block_indices.items()
@@ -604,12 +616,12 @@ def lindblad_integrate(
     and of two Taylor terms, the right-hand side's work space and one real
     buffer for ``|T_k|`` are allocated once per call.
     """
+    space = gen.space
+    entry = _split_sectors(space, rho0)  # which refuses another shape, also at t = 0
     degree, steps = _taylor_schedule(gen, t)
     if t == 0:
         return rho0.copy()
     x = t * gen.norm_bound / steps
-    space = gen.space
-    entry = _split_sectors(space, rho0)
     live = [g for g, pair in entry.items() if any(block.any() for block in pair)]
     # one set of buffers for the whole integration, reused by every term
     size = sum(
@@ -664,6 +676,7 @@ def extract_covariance(space: FockSpace, rho: np.ndarray) -> CovarianceMatrix:
     stored entries, so the means and the products ``(q_j q_k + q_k q_j) / 2``
     each take one product with ``rho`` gathered at their shared pattern.
     """
+    space._check_state(rho)
     means, products = (
         (pattern.data @ rho[pattern.cols, pattern.rows]).real
         for pattern in (space._linear, space._quadratic)
@@ -683,41 +696,34 @@ def squeezed_vacuum(space: FockSpace, r: float) -> np.ndarray:
     return np.outer(psi, psi.conj())
 
 
-def product_state(rho_a: np.ndarray, rho_b: np.ndarray) -> np.ndarray:
-    return np.kron(rho_a, rho_b)
-
-
 # -- record-averaged channel step ---------------------------------------------
 
 
 @functools.lru_cache(maxsize=32)
-def _eigenbasis(cutoff: int, vec: tuple[float, ...] | None):
-    """Eigen-decomposition of ``vec . (x, p)`` on a single mode, of 0 for None.
+def _eigenbasis(cutoff: int, n_side: int, vec: tuple[float, ...] | None):
+    """Eigen-decomposition of ``vec . R`` on a side of ``n_side`` modes, of 0 for None.
 
-    A position direction (``vec[1] == 0``) is a real operator, and its
+    A position direction (no momentum component) is a real operator, and its
     eigenbasis is taken real, so the basis changes into it can be real.
-    Cached per cutoff and direction, read-only: one ``eigh`` per direction.
+    Cached per side and direction, read-only: one ``eigh`` per direction.
     """
-    one = _shared_space(cutoff, ModeLayout(1, 0))
     if vec is None:
-        pair = np.zeros(cutoff), np.eye(cutoff)
+        pair = np.zeros(cutoff**n_side), np.eye(cutoff**n_side)
     else:
-        op = vec[0] * one.position()
-        if vec[1] != 0:
-            op = op + vec[1] * one.momentum()
-        pair = np.linalg.eigh(op)
+        op = _shared_space(cutoff, ModeLayout(n_side, 0))._linear.dense(vec)
+        pair = np.linalg.eigh(op if any(vec[1::2]) else op.real)
     for array in pair:
         array.flags.writeable = False
     return pair
 
 
-def _mode_eigenbases(cutoff: int, channel: Rank1Channel):
-    """A channel's eigen-decompositions ``(values, basis)`` on mode A and mode B."""
-    pair = tuple(
-        _eigenbasis(cutoff, None if v is None else tuple(v.tolist()))
-        for v in (channel.vec, channel.feed_vec)
+def _side_eigenbases(space: FockSpace, channel: Rank1Channel):
+    """A channel's eigen-decompositions ``(values, basis)`` on side A and side B."""
+    vecs = (channel.vec, channel.feed_vec)[:: 1 if channel.side == "A" else -1]
+    return tuple(
+        _eigenbasis(space.cutoff, n, None if v is None else tuple(v.tolist()))
+        for n, v in zip((space.layout.n_a, space.layout.n_b), vecs)
     )
-    return pair if channel.side == "A" else pair[::-1]
 
 
 def _conjugate(
@@ -726,24 +732,24 @@ def _conjugate(
     """``M rho^dagger M^dagger`` with ``M = u_a (x) u_b``: for Hermitian ``rho``,
     ``M rho M^dagger``.
 
-    ``M X`` is two mode-wise contractions, one on each row axis of the
-    ``(c, c, c^2)`` view of ``X``, ``O(c^5)`` work in place of the ``O(c^6)``
-    of the ``c^2 x c^2`` product, and the result is ``M (M rho)^dagger``:
-    the same two again on one adjoint.  When both factors are real they act
-    on the complex entries as float pairs, the same sums at half the
-    arithmetic.  ``rho`` and ``spare`` are distinct C-contiguous complex
-    ``c^2 x c^2`` arrays; the result is written to ``spare`` and returned,
-    and ``rho`` is overwritten.
+    ``M X`` is two side-wise contractions, one on each row axis of the
+    ``(D_A, D_B, D)`` view of ``X``, ``O(D^2 (D_A + D_B))`` work in place of
+    the ``O(D^3)`` of the ``D x D`` product, and the result is ``M (M
+    rho)^dagger``: the same two again on one adjoint.  When both factors are
+    real they act on the complex entries as float pairs, the same sums at
+    half the arithmetic.  ``rho`` and ``spare`` are distinct C-contiguous
+    complex ``D x D`` arrays; the result is written to ``spare`` and
+    returned, and ``rho`` is overwritten.
     """
-    c = u_a.shape[0]
+    d_a, d_b = len(u_a), len(u_b)
     real = not (np.iscomplexobj(u_a) or np.iscomplexobj(u_b))
 
     def rows(x: np.ndarray, mid: np.ndarray) -> None:
         # x = M x in place, through mid
         if real:
             x, mid = x.view(np.float64), mid.view(np.float64)
-        np.matmul(u_a, x.reshape(c, -1), out=mid.reshape(c, -1))
-        np.matmul(u_b, mid.reshape(c, c, -1), out=x.reshape(c, c, -1))
+        np.matmul(u_a, x.reshape(d_a, -1), out=mid.reshape(d_a, -1))
+        np.matmul(u_b, mid.reshape(d_a, d_b, -1), out=x.reshape(d_a, d_b, -1))
 
     rows(rho, spare)
     np.conj(rho.T, out=spare)
@@ -751,57 +757,54 @@ def _conjugate(
     return spare
 
 
-def _check_step(space: FockSpace, dt: float, channels, layout: ModeLayout) -> None:
-    one_mode = all(
-        ch.vec.shape == (2,) and (ch.feed_vec is None or ch.feed_vec.shape == (2,))
-        for ch in channels
-    )
-    if {space.layout, layout} != {ModeLayout(1, 1)} or not one_mode:
-        raise ValueError("the dense Kraus step supports one mode per side")
+def _check_step(space: FockSpace, rho: np.ndarray, protocol: LoccProtocol, dt: float) -> None:
+    space._check_state(rho)
+    if space.layout != protocol.layout:
+        raise ValueError("the protocol's layout does not match the space's")
     _check_dt(dt)
 
 
 def _on_axes(pairs: np.ndarray, row: int, col: int) -> np.ndarray:
-    """A ``(c, c)`` array over two axes of ``(a, b, a', b')``, its first on ``row``."""
+    """A 2-d array over two axes of ``(a, b, a', b')``, its first on ``row``."""
     if row > col:
         pairs, row, col = pairs.T, col, row
     shape = [1, 1, 1, 1]
-    shape[row] = shape[col] = len(pairs)
+    shape[row], shape[col] = pairs.shape
     return pairs.reshape(shape)
 
 
-def _group_factors(cutoff: int, channels, dt: float, scratch: np.ndarray):
-    """Record-averaged multiplier of channels sharing their one-mode eigenbases.
+def _group_factors(space: FockSpace, channels, dt: float, scratch: np.ndarray):
+    """Record-averaged multiplier of channels sharing their side eigenbases.
 
     Each channel's multiplier (:func:`kraus_average_step`) is diagonal in
     the shared joint eigenbasis, so the group's is their product
     ``W = exp(R) e^{i Phi}``, returned as factors on the ``(a, b, a', b')``
-    view of the state in that basis, each shaped to broadcast over the axes
-    it does not depend on.  With ``m``, ``f`` a channel's measured and fed
-    eigenvalues of a row, ``m'``, ``f'`` those of a column and ``phi = kappa
-    (m - m') + lam (f - f')``, ``R`` sums ``-dt (gamma (m - m')^2 / 2 +
-    phi^2 / (8 gamma))`` over the channels.  That is minus a sum of squares,
-    so the one ``c^4`` exponential is real and at most 1 and cannot
-    overflow; it is the first factor, written to ``scratch[0]``, and
-    ``scratch[1]`` is work space (two real ``c^4`` arrays).
+    view of the state in that basis (``a`` on side A's grid, ``b`` on B's),
+    each shaped to broadcast over the axes it does not depend on.  With
+    ``m``, ``f`` a channel's measured and fed eigenvalues of a row, ``m'``,
+    ``f'`` those of a column and ``phi = kappa (m - m') + lam (f - f')``,
+    ``R`` sums ``-dt (gamma (m - m')^2 / 2 + phi^2 / (8 gamma))`` over the
+    channels.  That is minus a sum of squares, so the one exponential over
+    the state's entries is real, at most 1 and cannot overflow; it is the
+    first factor, written to ``scratch[0]``, and ``scratch[1]`` is work
+    space (two real arrays of the state's size).
 
     ``Phi`` sums ``-dt (m + m') phi / 2 = theta(a, b) - theta(a', b') +
     chi``, with ``theta = -dt (kappa m^2 + lam m f) / 2`` and the cross term
     ``chi = -dt lam (m' f - m f') / 2``.  So ``e^{i Phi} = u(a, b) u(a',
-    b')^* e^{i chi}`` with ``u = exp(i sum theta)``, a ``c^2`` phase on the
-    rows and its conjugate on the columns, and ``e^{i chi} = w(a', b)^*
+    b')^* e^{i chi}`` with ``u = exp(i sum theta)``, a ``D_A D_B`` phase on
+    the rows and its conjugate on the columns, and ``e^{i chi} = w(a', b)^*
     w(a, b')`` with ``w = exp(i dt cross / 2)`` over the summed cross terms.
     Where those cancel exactly, as for the mirrored pair of
     ``build_rank1_protocol`` (equal ``lam``), the ``w`` factors are left out.
     """
-    c = cutoff
     real, work = scratch
-    decay = np.zeros((2, c, c))  # dt gamma (m - m')^2 / 2 over (a, a') and (b, b')
-    angle = np.zeros((c, c))  # sum theta over (a, b)
+    decay = [np.zeros((d, d)) for d in space.sides]  # dt gamma (m - m')^2 / 2
+    angle = np.zeros(space.sides)  # sum theta over (a, b)
     # sum of +-lam x (x) y, + for side A: chi = -dt (cross(a', b) - cross(a, b')) / 2
-    cross = np.zeros((c, c))
+    cross = np.zeros(space.sides)
     for i, channel in enumerate(channels):
-        (x, _), (y, _) = _mode_eigenbases(c, channel)
+        (x, _), (y, _) = _side_eigenbases(space, channel)
         measured, fed = (0, 1) if channel.side == "A" else (1, 0)
         m, f = (x, y) if measured == 0 else (y, x)
         delta = np.subtract.outer(m, m)
@@ -826,7 +829,7 @@ def _group_factors(cutoff: int, channels, dt: float, scratch: np.ndarray):
     np.subtract(work, real, out=real)
     np.exp(real, out=real)
     u = np.exp(1j * angle)
-    factors = real, u.reshape(c, c, 1, 1), u.conj().reshape(1, 1, c, c)
+    factors = real, u[:, :, None, None], u.conj()[None, None]
     if not cross.any():
         return factors
     w = np.exp(0.5j * dt * cross)
@@ -836,10 +839,10 @@ def _group_factors(cutoff: int, channels, dt: float, scratch: np.ndarray):
 def _channel_chain(space: FockSpace, rho: np.ndarray, channels, dt: float, u_a, u_b):
     """The channels in turn, then ``u_a (x) u_b``: ``(state, trace_defect)``.
 
-    Consecutive channels whose one-mode eigenbases are exactly equal form a
+    Consecutive channels whose side eigenbases are exactly equal form a
     group: their multipliers are diagonal in one joint basis, so they
     commute and make one multiplier (:func:`_group_factors`).  The state is
-    carried in its current one-mode bases ``C``: the change into the next
+    carried in its current side bases ``C``: the change into the next
     group's eigenbasis ``E`` is one conjugation by ``E^dagger C``, and the
     last, by ``u C``, lands in the Fock basis, so :func:`_conjugate` runs
     once per group plus once, on float pairs where both of its factors are
@@ -849,23 +852,22 @@ def _channel_chain(space: FockSpace, rho: np.ndarray, channels, dt: float, u_a, 
     After the last, the spare takes the state's adjoint and then the result,
     hermitized and, if there are channels, renormalized in place.
     """
-    c = space.cutoff
-    groups = []  # (bases on modes A and B, channels)
+    groups = []  # (bases on sides A and B, channels)
     for channel in channels:
-        bases = tuple(basis for _, basis in _mode_eigenbases(c, channel))
+        bases = tuple(basis for _, basis in _side_eigenbases(space, channel))
         if groups and all(map(np.array_equal, groups[-1][0], bases)):
             groups[-1][1].append(channel)
         else:
             groups.append((bases, [channel]))
     out = np.array(rho, dtype=complex, order="C")  # a copy: the input is kept
     spare = np.empty_like(out)
-    current = (np.eye(c),) * 2
+    current = tuple(map(np.eye, space.sides))
     for bases, members in groups:
         change = (e.conj().T @ u for e, u in zip(bases, current))
         out, spare = _conjugate(out, *change, spare), out
-        view = out.reshape(c, c, c, c)
-        scratch = spare.view(np.float64).reshape(2, c, c, c, c)
-        for factor in _group_factors(c, members, dt, scratch):
+        view = out.reshape(space.sides * 2)
+        scratch = spare.view(np.float64).reshape((2, *space.sides * 2))
+        for factor in _group_factors(space, members, dt, scratch):
             view *= factor
         current = bases
     out, spare = _conjugate(out, u_a @ current[0], u_b @ current[1], spare), out
@@ -892,14 +894,14 @@ def kraus_average_step(
     - i dt mean(measured) phi)``.  Its diagonal is 1: there its exponent is
     zero, and the factors of :func:`_group_factors` multiply to 1 up to
     roundoff (unit phases times their conjugates), so the trace drifts by
-    roundoff only; that is renormalized away and reported.  The channel
-    must act on one mode per side.
+    roundoff only; that is renormalized away and reported.  The channel's
+    directions must match the space's layout, as in a :class:`LoccProtocol`.
 
     Returns the new state together with its trace defect.
     """
-    _check_step(space, dt, (channel,), space.layout)
-    eye = np.eye(space.cutoff)
-    return _channel_chain(space, rho, (channel,), dt, eye, eye)
+    protocol = LoccProtocol(space.layout, (channel,), np.zeros((space.layout.dim,) * 2))
+    _check_step(space, rho, protocol, dt)
+    return _channel_chain(space, rho, protocol.channels, dt, *map(np.eye, space.sides))
 
 
 def protocol_kraus_step(
@@ -909,24 +911,22 @@ def protocol_kraus_step(
 
     The local Hamiltonian does not couple the sides, so its unitary is
     ``U_A (x) U_B``, each ``exp(-i dt H)`` from the eigendecomposition of a
-    one-mode Hamiltonian ``H``, applied with the channels as one chain of
-    fused basis changes (:func:`_channel_chain`).  A rank-1 protocol's two
-    channels share their eigenbases ``E``, so its step is two: into ``E``,
-    where both make one multiplier, ``exp(R_A + R_B) u(a, b) u(a', b')^*``
-    with the feedback phase ``u = exp(-i dt (kappa_A alpha^2 / 2 + kappa_B
-    beta^2 / 2 + lam alpha beta))``, and out by ``(U_A (x) U_B) E``.  The
-    protocol must have one mode per side.
+    side's Hamiltonian ``H`` on that side's own grid, applied with the
+    channels as one chain of fused basis changes (:func:`_channel_chain`).
+    A rank-1 protocol's two channels share their eigenbases ``E``, so its
+    step is two: into ``E``, where both make one multiplier, ``exp(R_A +
+    R_B) u(a, b) u(a', b')^*`` with the feedback phase ``u = exp(-i dt
+    (kappa_A alpha^2 / 2 + kappa_B beta^2 / 2 + lam alpha beta))``, and out
+    by ``(U_A (x) U_B) E``.
 
     Returns the new state together with its trace defect.
     """
-    _check_step(space, dt, protocol.channels, protocol.layout)
-    quadratic = _shared_space(space.cutoff, ModeLayout(1, 0))._quadratic
-    h = protocol.local_hamiltonian
+    _check_step(space, rho, protocol, dt)
+    lo, h = space.layout, protocol.local_hamiltonian
     unitaries = []
-    for local in quadratic.combine([0.5 * h[:2, :2], 0.5 * h[2:, 2:]]):
-        dense = np.zeros((space.cutoff, space.cutoff), dtype=complex)
-        dense[quadratic.rows, quadratic.cols] = local
-        energies, vecs = np.linalg.eigh(dense)
+    for n, block in ((lo.n_a, slice(None, lo.dim_a)), (lo.n_b, slice(lo.dim_a, None))):
+        quadratic = _shared_space(space.cutoff, ModeLayout(n, 0))._quadratic
+        energies, vecs = np.linalg.eigh(quadratic.dense(0.5 * h[block, block]))
         unitaries.append((vecs * np.exp(-1j * dt * energies)) @ vecs.conj().T)
     return _channel_chain(space, rho, protocol.channels, dt, *unitaries)
 
@@ -945,12 +945,9 @@ def log_negativity_dense(space: FockSpace, rho: np.ndarray) -> float:
     ``eps |tr rho| / 2``.  The trace norm is at most the entrywise 1-norm, so
     the sum of ``|lambda|`` moves by at most ``eps |tr rho|``: roundoff.
     """
-    if np.shape(rho) != (space.dim, space.dim):
-        raise ValueError("negativity needs a state on the space")
+    space._check_state(rho)
     if any(np.take(rho, i).any() for i in space._block_indices[1]):
-        w = space.cutoff**space.layout.n_b
-        sides = (space.dim // w, w) * 2
-        parts = [rho.reshape(sides).transpose(0, 3, 2, 1).reshape(rho.shape)]
+        parts = [rho.reshape(space.sides * 2).transpose(0, 3, 2, 1).reshape(rho.shape)]
     else:
         budget = 0.5 * np.finfo(float).eps * abs(np.trace(rho))
         parts = []

@@ -104,7 +104,7 @@ class LoccProtocol:
         if np.abs(h - h.T).max() > 1e-8 * np.abs(h).max():
             raise ValueError("local Hamiltonian form must be symmetric")
         lo = self.layout
-        if np.abs(h[: lo.dim_a, lo.dim_a :]).max() > 0.0:
+        if h[: lo.dim_a, lo.dim_a :].any():
             raise ValueError("local Hamiltonian must not couple the sides")
         object.__setattr__(self, "local_hamiltonian", 0.5 * (h + h.T))
         for ch in self.channels:

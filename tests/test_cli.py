@@ -813,37 +813,57 @@ def test_invalid_tolerance_exits_one_before_any_verdict(tmp_path, capsys, comman
     assert "--tol" in captured.err
 
 
-def test_oracle_on_two_modes_per_side_exits_one_without_output(
+def wider_free_mass(n_a, n_b):
+    """``FREE_MASS`` with ``n_a`` modes on side A and ``n_b`` on B, coupled on the first."""
+    model = json.loads(json.dumps(FREE_MASS))
+    model["layout"] = {"n_a": n_a, "n_b": n_b}
+    for side, n in (("a", n_a), ("b", n_b)):
+        model[f"hamiltonian_{side}"] = np.eye(2 * n).tolist()
+        model["coupling"][f"vec_{side}"] = [1.0] + [0.0] * (2 * n - 1)
+    return model
+
+
+def test_oracle_cutoff_over_the_layout_cap_exits_one_naming_the_key(
     tmp_path, capsys, monkeypatch
 ):
-    model = json.loads(json.dumps(FREE_MASS))
-    model["layout"] = {"n_a": 2, "n_b": 2}
-    model["hamiltonian_a"] = model["hamiltonian_b"] = np.eye(4).tolist()
-    model["coupling"]["vec_a"] = model["coupling"]["vec_b"] = [1.0, 0.0, 0.0, 0.0]
-    cfg = write_config(tmp_path, {"model": model})
-    assert main(["locc-verify", "--config", cfg]) == 0
-    capsys.readouterr()
-    assert main(["locc-verify", "--config", cfg, "--oracle"]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "one mode per side" in captured.err
-    # the dense oracle takes a 1+2 model, but --oracle runs the 1+1 Kraus
-    # step: the layout is refused before a generator is built, even at a
-    # cutoff over the dimension cap
+    """The default cutoff 12 is over the cap of 1+2 (10) and 2+2 (5): the key
+    is named, and the cap is checked before a generator is built."""
     def no_generator(*args, **kwargs):
         raise AssertionError("the oracle built a generator")
 
     monkeypatch.setattr(fock, "fock_generator_from_model", no_generator)
-    model = json.loads(json.dumps(FREE_MASS))
-    model["layout"] = {"n_a": 1, "n_b": 2}
-    model["hamiltonian_b"] = np.eye(4).tolist()
-    model["coupling"]["vec_b"] = [1.0, 0.0, 0.0, 0.0]
-    for cutoff in (4, 40):
-        cfg = write_config(tmp_path, {"model": model, "oracle_cutoff": cutoff})
+    for layout, cutoff in (((1, 2), None), ((1, 2), 40), ((2, 2), None), ((2, 2), 6)):
+        payload = {"model": wider_free_mass(*layout)}
+        if cutoff is not None:
+            payload["oracle_cutoff"] = cutoff
+        cfg = write_config(tmp_path, payload)
         assert main(["locc-verify", "--config", cfg, "--oracle"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "one mode per side" in captured.err
+        assert captured.err.startswith("error: oracle_cutoff: cutoff must be from 2 to")
+
+
+@pytest.mark.parametrize("layout", [(1, 2), (2, 2)])
+def test_oracle_runs_the_kraus_step_on_more_modes_a_side(tmp_path, capsys, layout):
+    cfg = write_config(tmp_path, {"model": wider_free_mass(*layout), "oracle_cutoff": 4})
+    assert main(["locc-verify", "--config", cfg, "--oracle"]) == 0
+    report = dict(line.split(": ") for line in capsys.readouterr().out.splitlines())
+    assert report["oracle_cutoff"] == "4"
+    assert float(report["oracle_channel_residual"]) < 1e-5
+    assert float(report["oracle_trace_defect"]) < 1e-12
+
+
+def test_oracle_cross_checks_the_mediator_config(capsys):
+    """The 1 K mediator model (1+2) is above threshold, and its LOCC step
+    tracks the dense semigroup."""
+    cfg = str(Path(__file__).parents[1] / "configs" / "mediator.json")
+    assert main(["threshold", "--config", cfg]) == 0
+    capsys.readouterr()
+    assert main(["locc-verify", "--config", cfg, "--t", "0.1", "--oracle"]) == 0
+    report = dict(line.split(": ") for line in capsys.readouterr().out.splitlines())
+    assert report["oracle_cutoff"] == "6"
+    assert float(report["oracle_channel_residual"]) < 1e-5
+    assert abs(float(report["trotter_order"]) - 1.0) < 0.05
 
 
 @pytest.mark.parametrize("step",[["--t", "-0.1"], ["--dt", "0"]])

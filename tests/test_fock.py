@@ -31,11 +31,12 @@ from gausep.fock import (
     lindblad_integrate,
     lindblad_rhs,
     log_negativity_dense,
-    product_state,
     protocol_kraus_step,
     squeezed_vacuum,
 )
 from gausep.generators import (
+    GeneralCoupling,
+    MatrixWhiteNoise,
     Rank1Coupling,
     ScalarWhiteNoise,
     SystemModel,
@@ -51,6 +52,7 @@ from gausep.locc import (
     channel_step,
     effective_generator,
     protocol_step,
+    synthesize_general,
 )
 from gausep.separability import log_negativity, ppt_multimode
 from gausep.symplectic import CovarianceMatrix, ModeLayout
@@ -93,7 +95,7 @@ def test_squeezed_vacuum_variances():
 
 def test_product_state_composes_covariances():
     space_1 = FockSpace(20, ModeLayout(1, 0))
-    rho = product_state(squeezed_vacuum(space_1, 0.2), squeezed_vacuum(space_1, -0.3))
+    rho = np.kron(squeezed_vacuum(space_1, 0.2), squeezed_vacuum(space_1, -0.3))
     cov = extract_covariance(FockSpace(20, ModeLayout(1, 1)), rho)
     expected = np.diag(
         [np.exp(-0.4) / 2, np.exp(0.4) / 2, np.exp(0.6) / 2, np.exp(-0.6) / 2]
@@ -335,8 +337,8 @@ def test_protocol_step_changes_basis_once_per_distinct_basis_plus_once(monkeypat
 
 def direct_exponent(channel, cutoff, dt):
     """A multiplier's complex exponent, entry by entry on ``(a, b, a', b')``."""
-    m_vals, _ = fock._eigenbasis(cutoff, tuple(channel.vec))
-    f_vals, _ = fock._eigenbasis(cutoff, tuple(channel.feed_vec))
+    m_vals, _ = fock._eigenbasis(cutoff, 1, tuple(channel.vec))
+    f_vals, _ = fock._eigenbasis(cutoff, 1, tuple(channel.feed_vec))
     measured, fed = (0, 1) if channel.side == "A" else (1, 0)
     idx = np.indices((cutoff,) * 4)
     m, m2 = m_vals[idx[measured]], m_vals[idx[measured + 2]]
@@ -379,7 +381,7 @@ def test_multiplier_factors_match_the_complex_exponent_at_a_long_step(side):
             Rank1Channel(side="B", gamma=0.8, vec=feed, lam=2.5, feed_vec=measure, kappa=-1.5),
         )
     scratch = np.empty((2,) + (c,) * 4)
-    factors = fock._group_factors(c, channels, dt, scratch)
+    factors = fock._group_factors(FockSpace(c, ModeLayout(1, 1)), channels, dt, scratch)
     w = np.ones((c,) * 4, dtype=complex)
     for factor in factors:
         w *= factor
@@ -416,8 +418,22 @@ def test_real_and_complex_basis_changes_agree():
 
 def test_position_eigenbases_are_real():
     for vec in ((1.0, 0.0), (-0.5, 0.0), None):
-        assert not np.iscomplexobj(fock._eigenbasis(8, vec)[1])
-    assert np.iscomplexobj(fock._eigenbasis(8, (0.6, 0.8))[1])
+        assert not np.iscomplexobj(fock._eigenbasis(8, 1, vec)[1])
+    assert np.iscomplexobj(fock._eigenbasis(8, 1, (0.6, 0.8))[1])
+    for vec in ((0.6, 0.0, 0.8, 0.0), None):
+        assert not np.iscomplexobj(fock._eigenbasis(5, 2, vec)[1])
+    assert np.iscomplexobj(fock._eigenbasis(5, 2, (0.6, 0.0, 0.0, 0.8))[1])
+
+
+@pytest.mark.parametrize("vec", [(0.6, 0.0, 0.8, 0.0), (0.6, 0.3, 0.0, -0.74)])
+def test_side_eigenbasis_diagonalizes_the_two_mode_quadrature(vec):
+    """A two-mode side's basis is ``eigh`` of ``vec . R`` on its own product grid."""
+    c = 5
+    values, basis = fock._eigenbasis(c, 2, vec)
+    side = FockSpace(c, ModeLayout(2, 0))
+    op = sum(v * q.toarray() for v, q in zip(vec, side._quadratures))
+    assert basis.shape == (c * c, c * c)
+    assert np.abs(op @ basis - basis * values).max() <= 1e-13
 
 
 def wide_channel(part):
@@ -431,32 +447,22 @@ def wide_channel(part):
 
 
 @pytest.mark.parametrize("part", ["vec", "feed_vec"])
-def test_channel_step_refuses_more_than_one_mode_per_side(part):
+def test_channel_step_refuses_a_direction_of_another_side_size(part):
+    """A channel is checked against the space's layout by the protocol's own rule."""
     space = FockSpace(6, ModeLayout(1, 1))
-    with pytest.raises(ValueError, match="one mode per side"):
+    with pytest.raises(ValueError, match="does not match"):
         kraus_average_step(space, space.vacuum(), wide_channel(part), 1e-3)
-
-
-def test_protocol_step_refuses_more_than_one_mode_per_side():
-    wide = np.array([1.0, 0.0, 0.0, 0.0])
-    channel = Rank1Channel(
-        side="A", gamma=1.0, vec=wide, lam=0.5, feed_vec=wide, kappa=0.2
-    )
-    protocol = LoccProtocol(ModeLayout(2, 2), (channel,), np.eye(8))
-    space = FockSpace(6, ModeLayout(1, 1))
-    with pytest.raises(ValueError, match="one mode per side"):
-        protocol_kraus_step(space, space.vacuum(), protocol, 1e-3)
 
 
 @pytest.mark.parametrize("layout", [(1, 0), (1, 2), (2, 1)])
 def test_kraus_steps_refuse_a_space_of_another_layout(layout):
-    """One-mode channels and a 1+1 protocol still need the 1+1 space."""
+    """One-mode channels and a 1+1 protocol need the 1+1 space."""
     model = rank1_model(1.0, 2.0, 2.0, h_a=np.eye(2), h_b=np.eye(2))
     protocol = build_rank1_protocol(model)
     space = FockSpace(4, ModeLayout(*layout))
-    with pytest.raises(ValueError, match="one mode per side"):
+    with pytest.raises(ValueError, match="does not match"):
         kraus_average_step(space, space.vacuum(), protocol.channels[0], 1e-3)
-    with pytest.raises(ValueError, match="one mode per side"):
+    with pytest.raises(ValueError, match="protocol.s layout does not match the space.s"):
         protocol_kraus_step(space, space.vacuum(), protocol, 1e-3)
 
 
@@ -1271,14 +1277,19 @@ def test_saturated_mediator_model_stays_ppt_at_every_chunk():
         assert np.abs(extract_covariance(space, rho).matrix - v.matrix).max() <= 1e-9
 
 
-def test_gravity_mediator_scenario_runs_through_the_dense_oracle():
-    """A probe, a mediator and a mass B at rates of order one at the frequency
-    where the dimensionless coupling is 1 (``gravity._rates``)."""
+def gravity_mediator_model(temperature_K):
+    """A probe, a mediator and a mass B at the frequency where the
+    dimensionless coupling is 1 (``gravity._rates``), with its unit record."""
     scenario = MediatorScenario(
-        1.0, 1.0, 0.1, 1e-18, 1e-18, 0.5, mass_b_kg=1.0, separation_ab_m=0.2
+        1.0, 1.0, 0.1, 1e-18, 1e-18, temperature_K, mass_b_kg=1.0, separation_ab_m=0.2
     )
     k_g = 2.0 * GRAVITATIONAL_CONSTANT / 0.1**3 * math.hypot(1.0, 0.125)
-    model, units = to_model(scenario, math.sqrt(k_g))
+    return to_model(scenario, math.sqrt(k_g))
+
+
+def test_gravity_mediator_scenario_runs_through_the_dense_oracle():
+    """At 0.5 K the rates are of order one."""
+    model, units = gravity_mediator_model(0.5)
     assert model.layout == ModeLayout(1, 2)
     assert units.coupling_dimensionless == pytest.approx(1.0, rel=1e-12)
     assert 0.1 < units.noise_a_dimensionless == units.noise_b_dimensionless < 10
@@ -1329,3 +1340,75 @@ def test_block_pt_spectrum_is_the_explicit_transpose_spectrum(
             [np.linalg.eigvalsh(np.take(rho, i)) for i in space._pt_blocks]
         )
         np.testing.assert_allclose(np.sort(blocks), explicit, rtol=0, atol=1e-14)
+
+
+# -- the Kraus step on any layout ---------------------------------------------
+
+
+def two_pair_model():
+    """2+2 model with a general coupling inside both noise ranges."""
+    coupling = np.diag([0.3, 0.2, 0.2, 0.1])
+    coupling[0, 2] = coupling[2, 0] = 0.1
+    return SystemModel(
+        layout=ModeLayout(2, 2),
+        h_a=np.diag([1.0, 1.0, 0.7, 0.7]),
+        h_b=np.array([[0.9, 0.1, 0, 0], [0.1, 0.8, 0, 0], [0, 0, 1.2, 0], [0, 0, 0, 1.2]]),
+        coupling=GeneralCoupling(matrix=coupling),
+        noise=MatrixWhiteNoise(
+            q_a=np.diag([0.6, 0.5, 0.4, 0.5]), q_b=np.diag([0.5, 0.4, 0.6, 0.5])
+        ),
+    )
+
+
+@pytest.mark.parametrize(
+    "case, cutoff", [("mediator", 6), ("mediator", 8), ("two pairs", 4)]
+)
+def test_kraus_steps_on_more_modes_a_side_converge_at_first_order_and_stay_ppt(case, cutoff):
+    """Above threshold the LOCC steps approach the semigroup as O(dt) from the
+    vacuum, and no step makes the state NPT across the sides: the 1 K
+    mediator model's rank-1 protocol (1+2) and a 2+2 synthesized one."""
+    if case == "mediator":
+        model = gravity_mediator_model(1.0)[0]
+        protocol = build_rank1_protocol(model)
+    else:
+        model = two_pair_model()
+        protocol = synthesize_general(model)
+        assert len(protocol.channels) == 8
+    fgen = fock_generator_from_model(model, cutoff)
+    space, t = fgen.space, 0.01
+    assert space.layout == protocol.layout != ModeLayout(1, 1)
+    exact = lindblad_integrate(fgen, space.vacuum(), t, leakage_limit=1e-6)
+    errors = []
+    for n in (10, 20):
+        rho = space.vacuum()
+        for _ in range(n):
+            rho, defect = protocol_kraus_step(space, rho, protocol, t / n)
+            assert defect < 1e-12
+            assert log_negativity_dense(space, rho) == 0.0
+        errors.append(np.abs(np.linalg.eigvalsh(rho - exact)).sum())
+    assert abs(math.log2(errors[0] / errors[1]) - 1.0) <= 0.05
+
+
+@pytest.mark.parametrize("shape", [(20, 20), (4, 4, 4, 4), (16,)])
+@pytest.mark.parametrize("entry", ["split", "negativity", "covariance", "integrate", "kraus"])
+def test_every_oracle_entry_point_refuses_a_state_of_another_shape(entry, shape):
+    """A state that is not ``dim x dim`` (16 x 16 here) is refused by name,
+    also at t = 0 and by both Kraus steps."""
+    model = rank1_model(1.0, 2.0, 2.0, h_a=np.eye(2), h_b=np.eye(2))
+    fgen = fock_generator_from_model(model, 4)
+    space, protocol = fgen.space, build_rank1_protocol(model)
+    rho = np.zeros(shape, dtype=complex)
+    rho.flat[0] = 1.0
+    calls = {
+        "split": [functools.partial(_split_sectors, space, rho)],
+        "negativity": [functools.partial(log_negativity_dense, space, rho)],
+        "covariance": [functools.partial(extract_covariance, space, rho)],
+        "integrate": [functools.partial(lindblad_integrate, fgen, rho, t) for t in (0.0, 0.01)],
+        "kraus": [
+            functools.partial(protocol_kraus_step, space, rho, protocol, 1e-3),
+            functools.partial(kraus_average_step, space, rho, protocol.channels[0], 1e-3),
+        ],
+    }[entry]
+    for call in calls:
+        with pytest.raises(ValueError, match=r"is not 16 x 16"):
+            call()

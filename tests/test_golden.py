@@ -35,7 +35,7 @@ RUN_COMMANDS = (
 )
 CASES = [
     [*command, "--config", f"configs/{name}.json"]
-    for name in ("entangling", "locc_harmonic", "two_mass_free")
+    for name in ("entangling", "locc_harmonic", "two_mass_free", "mediator")
     for command in RUN_COMMANDS
 ] + [["sweep", "--config", "configs/sweep_onset.json", "--out", "{out}"]]
 
