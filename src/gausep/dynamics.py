@@ -40,6 +40,7 @@ from numpy.linalg import _umath_linalg
 
 from .generators import GkslGenerator, SystemModel, local_drift_blocks
 from .symplectic import (
+    FORM_TOL,
     CovarianceMatrix,
     ModeLayout,
     _williamson_matrix,
@@ -285,8 +286,7 @@ def _rotated_frame(model: SystemModel, v0: CovarianceMatrix | None):
         v0 = CovarianceMatrix.vacuum(lo)
     if v0.layout != lo:
         raise ValueError("layout mismatch between model and initial state")
-    scale = max(1.0, np.abs(v0.matrix).max())
-    if np.abs(v0.block_ab()).max() > 1e-10 * scale:
+    if np.abs(v0.block_ab()).max() > FORM_TOL * np.abs(v0.matrix).max():
         raise ValueError("initial covariance must be block diagonal (product state)")
 
     s_a = _pure_block_williamson(v0.block_a(), lo.n_a, "A")
@@ -330,16 +330,10 @@ def first_order_terms(
     k = model.coupling.strength
     n = model.noise
 
-    v_g = np.zeros((lo.dim, lo.dim))
     block_g = 0.5 * k * (eta_a @ w_ab + w_ab @ eta_b.T)
-    v_g[: lo.dim_a, lo.dim_a :] = block_g
-    v_g[lo.dim_a :, : lo.dim_a] = block_g.T
-
-    v_th = direct_sum(n.s_a * (eta_a @ p_a @ eta_a.T), n.s_b * (eta_b @ p_b @ eta_b.T))
-    if n.s_ab != 0.0:
-        cross = n.s_ab * (eta_a @ w_ab @ eta_b.T)
-        v_th[: lo.dim_a, lo.dim_a :] += cross
-        v_th[lo.dim_a :, : lo.dim_a] += cross.T
+    v_g = direct_sum(np.zeros_like(p_a), np.zeros_like(p_b), block_g)
+    cross = None if n.s_ab == 0.0 else n.s_ab * (eta_a @ w_ab @ eta_b.T)
+    v_th = direct_sum(n.s_a * (eta_a @ p_a @ eta_a.T), n.s_b * (eta_b @ p_b @ eta_b.T), cross)
 
     lab = np.linalg.solve(direct_sum(s_a, s_b), direct_sum(flow_a.T, flow_b.T))
     return FirstOrderTerms(
@@ -376,7 +370,6 @@ class ShapeFunctions:
 
     rate_a: float
     rate_b: float
-    t: float
     rho_sq: float
 
     @classmethod
@@ -387,7 +380,7 @@ class ShapeFunctions:
         # 2 max(c, 0) <= max(a, 0) + max(b, 0): the exponent is never positive
         growth = math.exp(t * (2 * max(c, 0.0) - max(a, 0.0) - max(b, 0.0)))
         rho_sq = (j_c / j_a) * (j_c / j_b) * growth
-        return cls(rate_a=float(rate_a), rate_b=float(rate_b), t=float(t), rho_sq=rho_sq)
+        return cls(rate_a=float(rate_a), rate_b=float(rate_b), rho_sq=rho_sq)
 
 
 def shape_functions(

@@ -67,7 +67,7 @@ from scipy.sparse import _sparsetools
 
 from .generators import SystemModel, hamiltonian_form, noise_form
 from .locc import LoccProtocol, Rank1Channel, _check_dt
-from .symplectic import CovarianceMatrix, ModeLayout
+from .symplectic import FORM_TOL, CovarianceMatrix, ModeLayout
 
 LEAKAGE_LIMIT = 1e-6
 TAYLOR_TOL = 2.0**-54
@@ -310,7 +310,7 @@ def build_fock_generator(
     if g_form.shape != (n, n) or q_form.shape != (n, n):
         raise ValueError("form dimensions do not match the space")
     rates, vecs = np.linalg.eigh(q_form)
-    if rates[0] < -1e-10 * np.abs(rates).max():
+    if rates[0] < -FORM_TOL * np.abs(rates).max():
         raise ValueError("noise form is not positive semidefinite")
     # rates at or below eigh's resolution are roundoff of zero, not noise
     cut = max(rates[-1], 0.0) * n * np.finfo(float).eps
@@ -925,6 +925,9 @@ def protocol_kraus_step(
     lo, h = space.layout, protocol.local_hamiltonian
     unitaries = []
     for n, block in ((lo.n_a, slice(None, lo.dim_a)), (lo.n_b, slice(lo.dim_a, None))):
+        if n == 0:  # a side with no modes has a one-state grid, and its unitary is [[1]]
+            unitaries.append(np.eye(1))
+            continue
         quadratic = _shared_space(space.cutoff, ModeLayout(n, 0))._quadratic
         energies, vecs = np.linalg.eigh(quadratic.dense(0.5 * h[block, block]))
         unitaries.append((vecs * np.exp(-1j * dt * energies)) @ vecs.conj().T)

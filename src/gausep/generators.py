@@ -31,11 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .symplectic import ModeLayout, build_form, direct_sum, mode_form
-
-# symmetry and positivity of the forms are judged relative to each form's
-# largest entry, so a laboratory-scale form is held to the same standard
-_FORM_TOL = 1e-10
+from .symplectic import FORM_TOL, ModeLayout, build_form, direct_sum, mode_form, symmetric_form
 
 
 def _as_finite(x, shape: tuple, name: str) -> np.ndarray:
@@ -45,13 +41,6 @@ def _as_finite(x, shape: tuple, name: str) -> np.ndarray:
     if not np.isfinite(a).all():
         raise ValueError(f"{name} must be finite")
     return a
-
-
-def _as_symmetric(m, dim: int, name: str) -> np.ndarray:
-    m = _as_finite(m, (dim, dim), name)
-    if np.abs(m - m.T).max() > _FORM_TOL * np.abs(m).max():
-        raise ValueError(f"{name} must be symmetric")
-    return 0.5 * (m + m.T)
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,8 +92,8 @@ class SystemModel:
 
     def __post_init__(self) -> None:
         lo = self.layout
-        object.__setattr__(self, "h_a", _as_symmetric(self.h_a, lo.dim_a, "h_a"))
-        object.__setattr__(self, "h_b", _as_symmetric(self.h_b, lo.dim_b, "h_b"))
+        object.__setattr__(self, "h_a", symmetric_form(self.h_a, lo.dim_a, "h_a"))
+        object.__setattr__(self, "h_b", symmetric_form(self.h_b, lo.dim_b, "h_b"))
         if isinstance(self.coupling, Rank1Coupling):
             c = self.coupling
             object.__setattr__(
@@ -132,11 +121,11 @@ class SystemModel:
             object.__setattr__(self, "coupling", GeneralCoupling(matrix=m))
             if not isinstance(self.noise, MatrixWhiteNoise):
                 raise ValueError("general coupling requires matrix white noise")
-            q_a = _as_symmetric(self.noise.q_a, lo.dim_a, "q_a")
-            q_b = _as_symmetric(self.noise.q_b, lo.dim_b, "q_b")
+            q_a = symmetric_form(self.noise.q_a, lo.dim_a, "q_a")
+            q_b = symmetric_form(self.noise.q_b, lo.dim_b, "q_b")
             for name, q in (("q_a", q_a), ("q_b", q_b)):
                 w = np.linalg.eigvalsh(q)
-                if w.size and w[0] < -_FORM_TOL * np.abs(q).max():
+                if w.size and w[0] < -FORM_TOL * np.abs(q).max():
                     raise ValueError(f"{name} must be positive semidefinite")
             object.__setattr__(self, "noise", MatrixWhiteNoise(q_a=q_a, q_b=q_b))
         else:
@@ -158,36 +147,29 @@ class GkslGenerator:
     noise_quadratic: np.ndarray
 
 
+def _cross_block(model: SystemModel) -> np.ndarray:
+    """The AB block of the coupling: ``k vec_a vec_b^T`` or the general matrix."""
+    c = model.coupling
+    return c.strength * np.outer(c.vec_a, c.vec_b) if model.is_rank1 else c.matrix
+
+
 def coupling_form(model: SystemModel) -> np.ndarray:
     """Cross-coupling quadratic form embedded in the full phase space."""
-    lo = model.layout
-    g = np.zeros((lo.dim, lo.dim))
-    if isinstance(model.coupling, Rank1Coupling):
-        c = model.coupling
-        block = c.strength * np.outer(c.vec_a, c.vec_b)
-    else:
-        block = model.coupling.matrix
-    g[: lo.dim_a, lo.dim_a :] = block
-    g[lo.dim_a :, : lo.dim_a] = block.T
-    return g
+    return direct_sum(np.zeros_like(model.h_a), np.zeros_like(model.h_b), _cross_block(model))
 
 
 def hamiltonian_form(model: SystemModel) -> np.ndarray:
     """Full symmetric quadratic form of the Hamiltonian, ``H = xi^T G xi / 2``."""
-    return coupling_form(model) + direct_sum(model.h_a, model.h_b)
+    return direct_sum(model.h_a, model.h_b, _cross_block(model))
 
 
 def noise_form(model: SystemModel) -> np.ndarray:
     """Full symmetric noise form ``Q`` of the dissipative part."""
     if isinstance(model.noise, MatrixWhiteNoise):
         return direct_sum(model.noise.q_a, model.noise.q_b)
-    c, n = model.coupling, model.noise
-    q = direct_sum(n.s_a * np.outer(c.vec_a, c.vec_a), n.s_b * np.outer(c.vec_b, c.vec_b))
-    if n.s_ab != 0.0:
-        d = model.layout.dim_a
-        q[:d, d:] = n.s_ab * np.outer(c.vec_a, c.vec_b)
-        q[d:, :d] = q[:d, d:].T
-    return q
+    n, a, b = model.noise, model.coupling.vec_a, model.coupling.vec_b
+    cross = None if n.s_ab == 0.0 else n.s_ab * np.outer(a, b)
+    return direct_sum(n.s_a * np.outer(a, a), n.s_b * np.outer(b, b), cross)
 
 
 def generator_from_forms(layout: ModeLayout, g: np.ndarray, q: np.ndarray) -> GkslGenerator:

@@ -42,6 +42,7 @@ from .generators import (
 from .separability import MARGIN_TOL, BoundKind, ThresholdVerdict
 from .separability import bound_verdict, resolved_product
 from .symplectic import CovarianceMatrix, ModeLayout, build_form, direct_sum, mode_form
+from .symplectic import symmetric_form
 
 RANK_CUTOFF = 1e-12
 
@@ -73,13 +74,17 @@ class Rank1Channel:
     def __post_init__(self):
         if self.side not in ("A", "B"):
             raise ValueError("side must be 'A' or 'B'")
+        object.__setattr__(self, "vec", np.asarray(self.vec, dtype=float))
+        if self.feed_vec is not None:
+            object.__setattr__(self, "feed_vec", np.asarray(self.feed_vec, dtype=float))
+        for name in ("gamma", "lam", "kappa", "vec", "feed_vec"):
+            value = getattr(self, name)
+            if value is not None and not np.isfinite(value).all():
+                raise ValueError(f"channel {name} must be finite, got {value}")
         if self.gamma <= 0:
             raise ValueError("measurement strength must be positive")
         if self.lam != 0.0 and self.feed_vec is None:
             raise ValueError("feed-forward gain requires a receiving direction")
-        object.__setattr__(self, "vec", np.asarray(self.vec, dtype=float))
-        if self.feed_vec is not None:
-            object.__setattr__(self, "feed_vec", np.asarray(self.feed_vec, dtype=float))
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,15 +103,11 @@ class LoccProtocol:
 
     def __post_init__(self):
         object.__setattr__(self, "channels", tuple(self.channels))
-        h = np.asarray(self.local_hamiltonian, dtype=float)
-        if h.shape != (self.layout.dim, self.layout.dim):
-            raise ValueError("local Hamiltonian has the wrong dimension")
-        if np.abs(h - h.T).max() > 1e-8 * np.abs(h).max():
-            raise ValueError("local Hamiltonian form must be symmetric")
         lo = self.layout
+        h = symmetric_form(self.local_hamiltonian, lo.dim, "local Hamiltonian")
         if h[: lo.dim_a, lo.dim_a :].any():
             raise ValueError("local Hamiltonian must not couple the sides")
-        object.__setattr__(self, "local_hamiltonian", 0.5 * (h + h.T))
+        object.__setattr__(self, "local_hamiltonian", h)
         for ch in self.channels:
             dim_meas = lo.dim_a if ch.side == "A" else lo.dim_b
             dim_feed = lo.dim_b if ch.side == "A" else lo.dim_a
@@ -246,7 +247,6 @@ def build_rank1_protocol(model: SystemModel, branch: str = "plus") -> LoccProtoc
     n = model.noise
     c = model.coupling
     sol = solve_correlated(n.s_a, n.s_b, c.strength, n.s_ab, branch)
-    lo = model.layout
     ch_a = Rank1Channel(
         side="A",
         gamma=sol.gamma_a,
@@ -263,12 +263,9 @@ def build_rank1_protocol(model: SystemModel, branch: str = "plus") -> LoccProtoc
         feed_vec=c.vec_a,
         kappa=sol.kappa_b,
     )
-    h_loc = direct_sum(model.h_a, model.h_b)
-    u_a = _embed(c.vec_a, "A", lo)
-    u_b = _embed(c.vec_b, "B", lo)
-    h_loc -= sol.kappa_a * np.outer(u_a, u_a)
-    h_loc -= sol.kappa_b * np.outer(u_b, u_b)
-    return LoccProtocol(layout=lo, channels=(ch_a, ch_b), local_hamiltonian=h_loc)
+    h_a = model.h_a - sol.kappa_a * np.outer(c.vec_a, c.vec_a)
+    h_b = model.h_b - sol.kappa_b * np.outer(c.vec_b, c.vec_b)
+    return LoccProtocol(model.layout, (ch_a, ch_b), local_hamiltonian=direct_sum(h_a, h_b))
 
 
 def _pinv_sqrt(q: np.ndarray, cutoff: float):

@@ -21,6 +21,9 @@ import numpy as np
 # Relative PSD tolerance: thresholds on minimum eigenvalues are taken
 # relative to the largest covariance entry.
 PSD_TOL = 1e-9
+# An input form (covariance, Hamiltonian or noise form) may be asymmetric, have
+# negative eigenvalues or a cross block up to FORM_TOL times its largest entry
+FORM_TOL = 1e-10
 
 _MODE_FORM = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
@@ -68,8 +71,9 @@ def build_form(layout: ModeLayout) -> np.ndarray:
     return mode_form(layout.n_modes)
 
 
-def direct_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Block-diagonal ``a (+) b``, the A block first.
+def direct_sum(a: np.ndarray, b: np.ndarray, cross: np.ndarray | None = None) -> np.ndarray:
+    """The bipartite form ``[[a, cross], [cross^T, b]]``, the A block first;
+    block-diagonal ``a (+) b`` when ``cross`` is None.
 
     Two-block form of ``scipy.linalg.block_diag``, which costs about 30 times
     as much per call on the small matrices of this package.
@@ -77,14 +81,23 @@ def direct_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     out = np.zeros((a.shape[0] + b.shape[0], a.shape[1] + b.shape[1]))
     out[: a.shape[0], : a.shape[1]] = a
     out[a.shape[0] :, a.shape[1] :] = b
+    if cross is not None:
+        out[: a.shape[0], a.shape[1] :] = cross
+        out[a.shape[0] :, : a.shape[1]] = cross.T
     return out
 
 
-def _check_square(m: np.ndarray, dim: int, name: str) -> np.ndarray:
+def symmetric_form(m, dim: int, name: str) -> np.ndarray:
+    """``m`` symmetrized, refused by ``name`` unless it is ``dim x dim``, finite
+    and symmetric to ``FORM_TOL`` of its largest entry."""
     m = np.asarray(m, dtype=float)
     if m.shape != (dim, dim):
         raise ValueError(f"{name} must have shape ({dim}, {dim}), got {m.shape}")
-    return m
+    if not np.isfinite(m).all():
+        raise ValueError(f"{name} must be finite")
+    if np.abs(m - m.T).max() > FORM_TOL * np.abs(m).max():
+        raise ValueError(f"{name} must be symmetric")
+    return 0.5 * (m + m.T)
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,13 +108,8 @@ class CovarianceMatrix:
     layout: ModeLayout
 
     def __post_init__(self) -> None:
-        m = _check_square(self.matrix, self.layout.dim, "covariance matrix")
-        if not np.all(np.isfinite(m)):
-            raise ValueError("covariance matrix entries must be finite")
-        scale = max(1.0, np.abs(m).max())
-        if np.abs(m - m.T).max() > 1e-8 * scale:
-            raise ValueError("covariance matrix is not symmetric")
-        object.__setattr__(self, "matrix", 0.5 * (m + m.T))
+        m = symmetric_form(self.matrix, self.layout.dim, "covariance matrix")
+        object.__setattr__(self, "matrix", m)
 
     @classmethod
     def vacuum(cls, layout: ModeLayout) -> "CovarianceMatrix":

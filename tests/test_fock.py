@@ -152,6 +152,26 @@ def test_protocol_kraus_step_tracks_the_semigroup():
     assert defect < 1e-9
 
 
+def test_protocol_kraus_step_runs_a_side_with_no_modes():
+    """On 1+0 side B's grid is one state and its unitary ``[[1]]``: with a
+    zero Hamiltonian the step is the channel's own, and with the form ``I``
+    it is that followed by ``exp(-i H dt)``, ``H = (x^2 + p^2) / 2``."""
+    space, dt = FockSpace(6, ModeLayout(1, 0)), 0.05
+    ch = Rank1Channel(side="A", gamma=0.9, vec=np.array([0.6, 0.8]), kappa=0.3)
+    rho = squeezed_vacuum(space, 0.4)
+    averaged, averaged_defect = kraus_average_step(space, rho, ch, dt)
+    still = LoccProtocol(ModeLayout(1, 0), (ch,), np.zeros((2, 2)))
+    stepped, defect = protocol_kraus_step(space, rho, still, dt)
+    assert np.abs(stepped - averaged).max() <= 1e-14
+    assert defect < 1e-12 and averaged_defect < 1e-12
+    x, p = space.position(), space.momentum()
+    u = expm(-0.5j * dt * (x @ x + p @ p))
+    turning = LoccProtocol(ModeLayout(1, 0), (ch,), np.eye(2))
+    stepped, defect = protocol_kraus_step(space, rho, turning, dt)
+    assert np.abs(stepped - u @ averaged @ u.conj().T).max() <= 1e-13
+    assert defect < 1e-12
+
+
 def eigenbasis(cutoff, vec):
     """Eigenvalues and eigenvectors of ``vec . (x, p)`` on one mode."""
     one = FockSpace(cutoff, ModeLayout(1, 0))

@@ -1,5 +1,8 @@
 """Tests for model assembly and the moment-level generator."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -56,6 +59,69 @@ def test_hamiltonian_form_blocks():
     np.testing.assert_allclose(g[:2, 2:], 0.7 * np.outer([1.0, 0.0], [1.0, 0.0]))
     np.testing.assert_array_equal(g, g.T)
     np.testing.assert_array_equal(g[:2, 2:], coupling_form(model)[:2, 2:])
+
+
+CONFIGS = Path(__file__).parents[1] / "configs"
+
+
+def placed_forms(model):
+    """``(G, coupling form, Q)`` with every block written in place by index,
+    an independent assembly for the forms built by ``direct_sum``."""
+    lo, d = model.layout, model.layout.dim_a
+    g, coupling, q = (np.zeros((lo.dim, lo.dim)) for _ in range(3))
+    if model.is_rank1:
+        c, n = model.coupling, model.noise
+        block = c.strength * np.outer(c.vec_a, c.vec_b)
+        q[:d, :d] = n.s_a * np.outer(c.vec_a, c.vec_a)
+        q[d:, d:] = n.s_b * np.outer(c.vec_b, c.vec_b)
+        if n.s_ab != 0.0:
+            q[:d, d:] = n.s_ab * np.outer(c.vec_a, c.vec_b)
+            q[d:, :d] = q[:d, d:].T
+    else:
+        block = model.coupling.matrix
+        q[:d, :d], q[d:, d:] = model.noise.q_a, model.noise.q_b
+    coupling[:d, d:], coupling[d:, :d] = block, block.T
+    g[:d, :d], g[d:, d:] = model.h_a, model.h_b
+    return g + coupling, coupling, q
+
+
+def seeded_rank1_model(n, correlated):
+    """An ``n+n`` rank-1 model with random forms, ``s_ab`` nonzero if ``correlated``."""
+    rng = np.random.default_rng([n, correlated])
+    h_a, h_b = (rng.standard_normal((2 * n, 2 * n)) for _ in range(2))
+    s_a, s_b = rng.uniform(0.5, 2.0, 2)
+    coupling = Rank1Coupling(
+        0.6 * np.sqrt(s_a * s_b), rng.standard_normal(2 * n), rng.standard_normal(2 * n)
+    )
+    s_ab = -0.6 * np.sqrt(s_a * s_b) if correlated else 0.0
+    return SystemModel(
+        ModeLayout(n, n), h_a + h_a.T, h_b + h_b.T, coupling, ScalarWhiteNoise(s_a, s_b, s_ab)
+    )
+
+
+FORM_MODELS = {
+    **{
+        path.stem: lambda path=path: model_from_dict(json.loads(path.read_text())["model"])
+        for path in sorted(CONFIGS.glob("*.json"))
+    },
+    **{
+        f"{n}+{n} s_ab={'nonzero' if correlated else 0}": (
+            lambda n=n, correlated=correlated: seeded_rank1_model(n, correlated)
+        )
+        for n in (1, 2, 3)
+        for correlated in (False, True)
+    },
+    "general 2+1": lambda: random_general_model(np.random.default_rng(11)),
+}
+
+
+@pytest.mark.parametrize("name", FORM_MODELS)
+def test_forms_equal_their_blocks_placed_by_index(name):
+    model = FORM_MODELS[name]()
+    for built, placed in zip(
+        (hamiltonian_form(model), coupling_form(model), noise_form(model)), placed_forms(model)
+    ):
+        assert np.array_equal(built, placed)
 
 
 def test_noise_form_rank1():

@@ -1,6 +1,7 @@
 """Tests for protocol synthesis, channel algebra, and the damped bound."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -168,6 +169,40 @@ def test_one_way_feed_forward_is_rejected_at_lab_scale():
                             local_hamiltonian=np.zeros((4, 4)))
     with pytest.raises(ValueError, match="unbalanced"):
         effective_generator(protocol)
+
+
+def test_rank1_protocol_folds_the_kappa_compensation_into_the_side_blocks():
+    """The local Hamiltonian is ``(h_a - kappa_a a a^T) (+) (h_b - kappa_b b b^T)``
+    to the bit, with exact zeros across the sides."""
+    h_a, h_b = np.array([[1.0, 0.3], [0.3, 0.5]]), np.array([[0.2, -0.1], [-0.1, 0.7]])
+    model = rank1_model(0.8, 2.0, 1.5, s_ab=0.6, h_a=h_a, h_b=h_b)
+    protocol = build_rank1_protocol(model)
+    kappa_a, kappa_b = (ch.kappa for ch in protocol.channels)
+    assert kappa_a != 0.0 and kappa_b != 0.0
+    expected = np.zeros((4, 4))
+    expected[:2, :2] = h_a - kappa_a * np.outer([1.0, 0.0], [1.0, 0.0])
+    expected[2:, 2:] = h_b - kappa_b * np.outer([1.0, 0.0], [1.0, 0.0])
+    assert np.array_equal(protocol.local_hamiltonian, expected)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("field", ["gamma", "lam", "kappa", "vec", "feed_vec"])
+def test_channel_refuses_a_non_finite_field_by_name(field, value):
+    fields = dict(side="A", gamma=1.0, vec=np.array([1.0, 0.0]), lam=0.5,
+                  feed_vec=np.array([0.0, 1.0]), kappa=0.2)
+    fields[field] = np.array([1.0, value]) if field.endswith("vec") else value
+    with pytest.raises(ValueError, match=f"channel {field} must be finite"):
+        Rank1Channel(**fields)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_protocol_refuses_a_non_finite_hamiltonian_without_a_warning(value):
+    h = np.eye(4)
+    h[1, 1] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="local Hamiltonian must be finite"):
+            LoccProtocol(layout=ModeLayout(1, 1), channels=(), local_hamiltonian=h)
 
 
 def test_channel_step_preserves_physicality():

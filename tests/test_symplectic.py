@@ -4,10 +4,14 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from gausep.generators import GeneralCoupling, MatrixWhiteNoise, SystemModel
+from gausep.locc import LoccProtocol
 from gausep.symplectic import (
+    FORM_TOL,
     CovarianceMatrix,
     ModeLayout,
     build_form,
+    direct_sum,
     is_physical,
     mode_form,
     partial_transpose,
@@ -108,3 +112,57 @@ def test_layout_validation():
         ModeLayout(0, 1)
     with pytest.raises(ValueError):
         CovarianceMatrix(np.eye(3), ModeLayout(1, 1))
+
+
+def test_direct_sum_with_a_cross_block_is_the_block_matrix():
+    rng = np.random.default_rng(5)
+    for n_a, n_b in ((1, 1), (2, 1), (1, 3)):
+        a, b = rng.standard_normal((n_a, n_a)), rng.standard_normal((n_b, n_b))
+        cross = rng.standard_normal((n_a, n_b))
+        expected = np.block([[a, cross], [cross.T, b]])
+        np.testing.assert_array_equal(direct_sum(a, b, cross), expected)
+        np.testing.assert_array_equal(
+            direct_sum(a, b), np.block([[a, np.zeros((n_a, n_b))], [np.zeros((n_b, n_a)), b]])
+        )
+
+
+def general_model(h_a=np.eye(2), q_a=np.eye(2)):
+    return SystemModel(
+        layout=ModeLayout(1, 1),
+        h_a=h_a,
+        h_b=np.eye(2),
+        coupling=GeneralCoupling(matrix=np.zeros((2, 2))),
+        noise=MatrixWhiteNoise(q_a=q_a, q_b=np.eye(2)),
+    )
+
+
+def asymmetric(dim, scale, ratio):
+    """``scale I`` with entry (1, 0) set to ``ratio FORM_TOL scale``."""
+    m = scale * np.eye(dim)
+    m[1, 0] = ratio * FORM_TOL * scale
+    return m
+
+
+# each input form read from a matrix of the size it takes, and the form stored
+FORM_READERS = {
+    "covariance": lambda form: CovarianceMatrix(form(4), ModeLayout(1, 1)).matrix,
+    "h_a": lambda form: general_model(h_a=form(2)).h_a,
+    "q_a": lambda form: general_model(q_a=form(2)).noise.q_a,
+    "local Hamiltonian": lambda form: (
+        LoccProtocol(ModeLayout(1, 1), (), form(4)).local_hamiltonian
+    ),
+}
+
+
+@pytest.mark.parametrize("reader", FORM_READERS)
+@pytest.mark.parametrize("scale", [1.0, 1e-12])
+def test_every_input_form_is_judged_symmetric_at_form_tol_of_its_scale(reader, scale):
+    """One relative rule: an asymmetry of half FORM_TOL times the form's
+    largest entry is roundoff and symmetrized away, twice FORM_TOL is
+    refused, at an O(1) and at a laboratory scale alike."""
+    read = FORM_READERS[reader]
+    stored = read(lambda dim: asymmetric(dim, scale, 0.5))
+    np.testing.assert_array_equal(stored, stored.T)
+    assert stored[0, 1] == 0.25 * FORM_TOL * scale
+    with pytest.raises(ValueError, match="must be symmetric"):
+        read(lambda dim: asymmetric(dim, scale, 2.0))
